@@ -7,9 +7,6 @@ control flow) and times each simulated kernel's compiled-plan path
 interpreted twin (``_execute_simulated_reference``), best of
 ``--repeats``.  The two paths must agree bit for bit (uint16 views of
 the fp16 outputs) and issue identical tensor-core instruction counts.
-The shared functional layer's plan paths are timed the same way and
-recorded alongside (informational — the CSR product already is a
-handful of array ops, so its win is the expansion only).
 
 The gate: the *minimum* speedup across the simulated kernels must
 clear ``--floor`` (default 5x) and every path must be bit-identical.
@@ -44,12 +41,6 @@ import numpy as np  # noqa: E402
 from repro.datasets import generate_topology  # noqa: E402
 from repro.formats import cvse_from_csr_topology  # noqa: E402
 from repro.formats.cvse import ColumnVectorSparseMatrix  # noqa: E402
-from repro.kernels.functional import (  # noqa: E402
-    sddmm_functional,
-    sddmm_functional_reference,
-    spmm_functional,
-    spmm_functional_reference,
-)
 from repro.kernels.sddmm_octet import OctetSddmmKernel  # noqa: E402
 from repro.kernels.sddmm_wmma import WmmaSddmmKernel  # noqa: E402
 from repro.kernels.spmm_octet import OctetSpmmKernel  # noqa: E402
@@ -137,20 +128,6 @@ def main(argv=None) -> int:
                    lambda: sd_wmma._execute_simulated(a_dense, b_sddmm, mask),
                    lambda: sd_wmma._execute_simulated_reference(a_dense, b_sddmm, mask)),
     ]
-    def timed_functional(name, plan_fn, ref_fn):
-        plan_fn()  # warm the plan cache
-        t_plan, got = _best_of(plan_fn, repeats)
-        t_ref, ref = _best_of(ref_fn, repeats)
-        return name, t_ref, t_plan, _bits_equal(got, ref)
-
-    functional = [
-        timed_functional("spmm-functional",
-                         lambda: spmm_functional(a, b_spmm),
-                         lambda: spmm_functional_reference(a, b_spmm)),
-        timed_functional("sddmm-functional",
-                         lambda: sddmm_functional(a_dense, b_sddmm, mask),
-                         lambda: sddmm_functional_reference(a_dense, b_sddmm, mask)),
-    ]
 
     kernels = {}
     identical = True
@@ -162,12 +139,6 @@ def main(argv=None) -> int:
         kernels[name] = {"interpreted_s": round(t_ref, 4),
                          "plan_s": round(t_plan, 4),
                          "speedup": round(speedup, 1), "identical": same}
-    for name, t_ref, t_plan, same in functional:
-        identical &= same
-        kernels[name] = {"interpreted_s": round(t_ref, 4),
-                         "plan_s": round(t_plan, 4),
-                         "speedup": round(t_ref / t_plan, 1) if t_plan else float("inf"),
-                         "identical": same, "gated": False}
 
     record = {
         "benchmark": "plan_codegen",

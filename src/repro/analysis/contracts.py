@@ -1,9 +1,7 @@
 """The five PR-3 contract lints, migrated into registry rules.
 
-These started life as standalone AST walks in ``tools/lint_contracts.py``;
-that tool is now a thin shim delegating here.  The checks are unchanged in
-substance — same patterns, same discounts, same messages — they just run
-on the shared :class:`~repro.analysis.core.AnalysisContext` so one parse
+Each check is an AST walk with fixed patterns, discounts and messages; all
+run on the shared :class:`~repro.analysis.core.AnalysisContext` so one parse
 of the repo feeds all ten rules.
 """
 

@@ -417,7 +417,7 @@ def _plans_main(argv) -> int:
     h1, m1 = after.get("plan", (0, 0))
     hits, misses = h1 - h0, m1 - m0
     print(f"\nplan cache: {hits} hit(s), {misses} miss(es) "
-          f"(enabled={plans.enabled()}, memo={memo.enabled()})")
+          f"(memo={memo.enabled()})")
     return 1 if failed else 0
 
 

@@ -56,18 +56,12 @@ GATES: Dict[str, EnvGate] = _registry(
     EnvGate("REPRO_MEMO", "1", "flag",
             "In-process content-addressed memo regions (stats/latency/trace/"
             "suite/plan). Default on; set 0 to force every compute fresh."),
-    EnvGate("REPRO_MEMO_CHECKSUM", "1", "flag",
-            "blake2b integrity checksums on memo blobs; corrupt entries are "
-            "recomputed, never served. Default on."),
     EnvGate("REPRO_MEMO_SHARED", "0", "flag",
             "Cross-process shared memo tier (append-only segment store "
             "layered as L2 under the in-process regions). Default off."),
     EnvGate("REPRO_MEMO_SHARED_DIR", "", "value",
             "Directory backing the shared memo store; blank means the "
             "default .repro-memo next to the working directory."),
-    EnvGate("REPRO_PLANS", "1", "flag",
-            "Compiled execution plans for the simulated kernel layer; set 0 "
-            "to fall back to the interpreted *_reference twins. Default on."),
     EnvGate("REPRO_TRACE", "0", "flag",
             "Span tracer master switch (Chrome-trace export, cli obs). "
             "Default off; the disabled path is a no-op check."),

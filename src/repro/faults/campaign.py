@@ -149,7 +149,6 @@ def _memo_integrity(seed: int, skip: int) -> Tuple[bool, str]:
     kern = OctetSpmmKernel()
     rng = np.random.default_rng(seed)
     memo.set_enabled(True)
-    memo.set_checksum(True)
     state = memo.snapshot()  # noqa: F841 — forces region init before clear
     memo.clear()
     try:
@@ -165,7 +164,6 @@ def _memo_integrity(seed: int, skip: int) -> Tuple[bool, str]:
         return caught and never_served, f"memo blob byte {flip} flipped; caught={caught}"
     finally:
         memo.set_enabled(None)
-        memo.set_checksum(None)
         memo.clear()
 
 
@@ -183,7 +181,6 @@ def _shared_integrity(seed: int, skip: int) -> Tuple[bool, str]:
     rng = np.random.default_rng(seed)
     tmp = tempfile.mkdtemp(prefix="repro-sharedmemo-fault-")
     memo.set_enabled(True)
-    memo.set_checksum(True)
     memo.clear()
     sharedmemo.reset()
     sharedmemo.set_dir(tmp)
@@ -205,7 +202,6 @@ def _shared_integrity(seed: int, skip: int) -> Tuple[bool, str]:
                 f"shared segment byte {flip} flipped; caught={caught}")
     finally:
         memo.set_enabled(None)
-        memo.set_checksum(None)
         memo.clear()
         sharedmemo.reset()
         sharedmemo.set_enabled(None)

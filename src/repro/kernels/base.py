@@ -23,7 +23,7 @@ from ..hardware.config import GPUSpec, default_spec
 from ..perfmodel.events import KernelStats
 from ..perfmodel.latency import LatencyEstimate, LatencyModel
 
-__all__ = ["KernelResult", "Kernel", "Precision", "elem_bytes", "as_compute"]
+__all__ = ["KernelResult", "Kernel", "Precision", "elem_bytes", "as_compute", "check_2d"]
 
 Precision = str  # "half" | "single"
 
@@ -46,6 +46,13 @@ def as_compute(x: np.ndarray, precision: Precision) -> np.ndarray:
     if precision == "half":
         return x.astype(np.float16).astype(np.float32)
     return x.astype(np.float32)
+
+
+def check_2d(name: str, x) -> None:
+    """Raise ``ValueError`` naming ``name`` unless ``x`` is a 2-D array."""
+    shape = np.shape(x)
+    if len(shape) != 2:
+        raise ValueError(f"{name} must be a 2-D dense array; got shape {shape}")
 
 
 @dataclass

@@ -15,7 +15,7 @@ from ..formats.cvse import ColumnVectorSparseMatrix
 from ..hardware.config import GPUSpec
 from ..obs import metrics as obs_metrics
 from ..obs import tracing as obs_tracing
-from .base import Kernel, KernelResult, Precision
+from .base import Kernel, KernelResult, Precision, check_2d
 from .gemm import DenseGemmKernel
 from .sddmm_fpu import FpuSddmmKernel
 from .sddmm_octet import OctetSddmmKernel
@@ -59,6 +59,7 @@ def spmm(
         cls = SPMM_KERNELS[kernel]
     except KeyError:
         raise ValueError(f"unknown SpMM kernel {kernel!r}; choose from {sorted(SPMM_KERNELS)}")
+    check_2d("B", b)
     obs_metrics.counter_add("kernel.dispatch.spmm")
     with obs_tracing.span("kernel.spmm", kernel=kernel,
                           m=a.shape[0], k=a.shape[1], n=b.shape[1]):
@@ -83,6 +84,8 @@ def sddmm(
         cls = SDDMM_KERNELS[kernel]
     except KeyError:
         raise ValueError(f"unknown SDDMM kernel {kernel!r}; choose from {sorted(SDDMM_KERNELS)}")
+    check_2d("A", a)
+    check_2d("B", b)
     obs_metrics.counter_add("kernel.dispatch.sddmm")
     with obs_tracing.span("kernel.sddmm", kernel=kernel,
                           m=a.shape[0], k=a.shape[1], n=b.shape[1]):

@@ -8,41 +8,34 @@ path (:mod:`repro.hardware.tensor_core`) is exercised by the slow
 ``simulate``-mode implementations in the octet kernels and by the unit
 tests; its outputs agree with these fast paths to fp32-reassociation
 tolerance.
-
-Both entry points run a compiled-plan path by default — the topology
-expansion and CSR skeleton come from the cached plans of
-:mod:`repro.plans.functional` — with the interpreted expansion kept as
-pinned ``*_reference`` twins.  The plan path is bit-for-bit the
-reference: the CSR skeleton's stable permutation reproduces the COO
-round trip entry for entry, and the SDDMM gather pairs are the same
-arrays the reference recomputes.
 """
 
 from __future__ import annotations
 
+from typing import Tuple
+
 import numpy as np
 import scipy.sparse as sp
 
-from .. import plans as _plans
 from ..faults.injector import site as fault_site
 from ..formats.cvse import ColumnVectorSparseMatrix
-from ..plans.functional import expand_vector_rows
-from .base import Precision, as_compute
+from .base import Precision, as_compute, check_2d
 
 __all__ = [
     "spmm_functional",
     "sddmm_functional",
-    "spmm_functional_reference",
-    "sddmm_functional_reference",
     "expand_vector_rows",
 ]
 
 
-def _check_spmm_args(a: ColumnVectorSparseMatrix, b: np.ndarray) -> None:
-    if a.values is None:
-        raise ValueError("SpMM needs values; got a mask-only encoding")
-    if b.shape[0] != a.shape[1]:
-        raise ValueError(f"inner dims mismatch: {a.shape} @ {b.shape}")
+def expand_vector_rows(cvse) -> Tuple[np.ndarray, np.ndarray]:
+    """(scalar_row, col) pairs of every stored scalar, in storage order."""
+    v = cvse.vector_length
+    vrows = np.repeat(np.arange(cvse.num_vector_rows), cvse.vector_row_nnz())
+    rows = (vrows[:, None] * v + np.arange(v)[None, :]).reshape(-1)
+    # storage order is (vector, lane): interleave accordingly
+    cols = np.repeat(cvse.col_idx[:, None], v, axis=1).reshape(-1)
+    return rows, cols
 
 
 def spmm_functional(
@@ -51,35 +44,14 @@ def spmm_functional(
     precision: Precision = "half",
     out_dtype=np.float16,
 ) -> np.ndarray:
-    """``C = A @ B`` with fp32 accumulation; A in CVSE.
-
-    Uses the cached CSR-skeleton plan when plans are enabled; the
-    interpreted expansion is :func:`spmm_functional_reference`.
-    """
-    if not _plans.enabled():
-        return spmm_functional_reference(a, b, precision, out_dtype)
-    _check_spmm_args(a, np.asarray(b))
-    b32 = as_compute(np.asarray(b), precision)
-    plan = _plans.functional_spmm_plan(a)
-    vals = as_compute(a.values, precision).reshape(-1)
-    mat = sp.csr_matrix(
-        (vals[plan.perm], plan.indices, plan.indptr), shape=a.shape, dtype=np.float32
-    )
-    out = mat @ b32
-    # declared fault-injection site: functional output SDC
-    return fault_site("functional.spmm.out", out.astype(out_dtype))
-
-
-def spmm_functional_reference(
-    a: ColumnVectorSparseMatrix,
-    b: np.ndarray,
-    precision: Precision = "half",
-    out_dtype=np.float16,
-) -> np.ndarray:
-    """Pinned interpreted twin of :func:`spmm_functional`: expands the
-    topology on every call and builds the CSR via the COO round trip."""
-    _check_spmm_args(a, np.asarray(b))
-    b32 = as_compute(np.asarray(b), precision)
+    """``C = A @ B`` with fp32 accumulation; A in CVSE."""
+    b = np.asarray(b)
+    check_2d("B", b)
+    if a.values is None:
+        raise ValueError("SpMM needs values; got a mask-only encoding")
+    if b.shape[0] != a.shape[1]:
+        raise ValueError(f"inner dims mismatch: {a.shape} @ {b.shape}")
+    b32 = as_compute(b, precision)
     # scalar CSR over the expanded rows, preserving explicit zeros
     rows, cols = expand_vector_rows(a)
     vals = as_compute(a.values, precision).reshape(-1)
@@ -87,33 +59,6 @@ def spmm_functional_reference(
     out = mat @ b32
     # declared fault-injection site: functional output SDC
     return fault_site("functional.spmm.out", out.astype(out_dtype))
-
-
-def _check_sddmm_args(
-    a: np.ndarray, b: np.ndarray, mask: ColumnVectorSparseMatrix
-) -> None:
-    m, k = a.shape
-    k2, n = b.shape
-    if k != k2:
-        raise ValueError(f"inner dims mismatch: {a.shape} @ {b.shape}")
-    if mask.shape != (m, n):
-        raise ValueError(f"mask shape {mask.shape} != output shape {(m, n)}")
-
-
-def _sddmm_gathered_dot(
-    a32: np.ndarray,
-    bt32: np.ndarray,
-    rows: np.ndarray,
-    cols: np.ndarray,
-    chunk: int,
-) -> np.ndarray:
-    out = np.empty(rows.size, dtype=np.float32)
-    for lo in range(0, rows.size, chunk):
-        hi = min(rows.size, lo + chunk)
-        out[lo:hi] = np.einsum(
-            "ck,ck->c", a32[rows[lo:hi]], bt32[cols[lo:hi]], optimize=True
-        )
-    return out
 
 
 def sddmm_functional(
@@ -128,40 +73,26 @@ def sddmm_functional(
 
     ``A`` is (M, K) row-major; ``B`` is (K, N) (the paper stores it
     column-major to stand in for B^T — a layout, not a math, choice).
-    Uses the cached expansion plan when plans are enabled; the
-    interpreted expansion is :func:`sddmm_functional_reference`.
     """
-    if not _plans.enabled():
-        return sddmm_functional_reference(a, b, mask, precision, out_dtype, chunk)
     a = np.asarray(a)
     b = np.asarray(b)
-    _check_sddmm_args(a, b, mask)
-    a32 = as_compute(a, precision)
-    bt32 = as_compute(b, precision).T.copy()  # (N, K) rows = B columns
-    plan = _plans.functional_sddmm_plan(mask)
-    out = _sddmm_gathered_dot(a32, bt32, plan.rows, plan.cols, chunk)
-    values = out.reshape(mask.nnz_vectors, mask.vector_length).astype(out_dtype)
-    # declared fault-injection site: functional output SDC
-    return mask.with_values(fault_site("functional.sddmm.out", values))
-
-
-def sddmm_functional_reference(
-    a: np.ndarray,
-    b: np.ndarray,
-    mask: ColumnVectorSparseMatrix,
-    precision: Precision = "half",
-    out_dtype=np.float16,
-    chunk: int = 1 << 18,
-) -> ColumnVectorSparseMatrix:
-    """Pinned interpreted twin of :func:`sddmm_functional`: expands the
-    gather pairs on every call."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    _check_sddmm_args(a, b, mask)
+    check_2d("A", a)
+    check_2d("B", b)
+    m, k = a.shape
+    k2, n = b.shape
+    if k != k2:
+        raise ValueError(f"inner dims mismatch: {a.shape} @ {b.shape}")
+    if mask.shape != (m, n):
+        raise ValueError(f"mask shape {mask.shape} != output shape {(m, n)}")
     a32 = as_compute(a, precision)
     bt32 = as_compute(b, precision).T.copy()  # (N, K) rows = B columns
     rows, cols = expand_vector_rows(mask)
-    out = _sddmm_gathered_dot(a32, bt32, rows, cols, chunk)
+    out = np.empty(rows.size, dtype=np.float32)
+    for lo in range(0, rows.size, chunk):
+        hi = min(rows.size, lo + chunk)
+        out[lo:hi] = np.einsum(
+            "ck,ck->c", a32[rows[lo:hi]], bt32[cols[lo:hi]], optimize=True
+        )
     values = out.reshape(mask.nnz_vectors, mask.vector_length).astype(out_dtype)
     # declared fault-injection site: functional output SDC
     return mask.with_values(fault_site("functional.sddmm.out", values))

@@ -100,8 +100,6 @@ class OctetSddmmKernel(Kernel):
         SWITCH discipline is applied at execution time, never baked into
         the cached plan.
         """
-        if not _plans.enabled():
-            return self._execute_simulated_reference(a, b, mask)
         a16 = np.asarray(a, dtype=np.float16)
         b16 = np.asarray(b, dtype=np.float16)
         sim_kwargs = (

@@ -73,8 +73,6 @@ class WmmaSddmmKernel(Kernel):
         (:mod:`repro.plans`) — bit-for-bit the interpreted per-row walk
         kept as :meth:`_execute_simulated_reference`.
         """
-        if not _plans.enabled():
-            return self._execute_simulated_reference(a, b, mask)
         a16 = np.asarray(a, dtype=np.float16)
         b16 = np.asarray(b, dtype=np.float16)
         plan = _plans.sddmm_wmma_plan(self, mask, a16.shape[1])

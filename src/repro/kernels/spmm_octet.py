@@ -88,8 +88,6 @@ class OctetSpmmKernel(Kernel):
         v = a.vector_length
         if v > 8:
             raise ValueError("octet tiling supports V <= 8 (one TCU output tile)")
-        if not _plans.enabled():
-            return self._execute_simulated_reference(a, b)
         b16 = np.asarray(b, dtype=np.float16)
         plan = _plans.spmm_octet_plan(self, a)
         out, tc_stats = _plans.execute_spmm_octet(plan, a, b16)

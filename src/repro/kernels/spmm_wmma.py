@@ -65,8 +65,6 @@ class WmmaSpmmKernel(Kernel):
         interpreted per-row walk kept as
         :meth:`_execute_simulated_reference`.
         """
-        if not _plans.enabled():
-            return self._execute_simulated_reference(a, b)
         b16 = np.asarray(b, dtype=np.float16)
         plan = _plans.spmm_wmma_plan(self, a)
         out, tc = _plans.execute_spmm_wmma(plan, a, b16)

@@ -49,8 +49,7 @@ fresh value replaces the bad entry.  The RNG-keyed operand regions
 (``problem``/``format``) keep raw references (their values are
 hundreds of MB of arrays; re-hashing them per hit would erase the
 point of the cache) — that boundary is documented in
-``docs/ROBUSTNESS.md``.  ``REPRO_MEMO_CHECKSUM=0`` reverts the object
-regions to raw storage for A/B benchmarking.
+``docs/ROBUSTNESS.md``.
 
 Shared tier: when ``REPRO_MEMO_SHARED=1`` the blob regions are layered
 over :mod:`~repro.perfmodel.sharedmemo` — a file-backed, cross-process
@@ -100,8 +99,6 @@ __all__ = [
     "signature",
     "kernel_fingerprint",
     "stats_signature",
-    "checksum_enabled",
-    "set_checksum",
     "integrity_counters",
     "integrity_failures",
     "tamper_entry",
@@ -140,7 +137,6 @@ class _Region:
 _regions: Dict[str, _Region] = {}
 _lock = threading.Lock()
 _enabled_override: Optional[bool] = None
-_checksum_override: Optional[bool] = None
 
 
 def _region(name: str) -> _Region:
@@ -174,20 +170,6 @@ def enable() -> None:
 def disable() -> None:
     """Force memoisation off regardless of ``REPRO_MEMO``."""
     set_enabled(False)
-
-
-def checksum_enabled() -> bool:
-    """Whether object-region entries carry verified checksums
-    (override > ``REPRO_MEMO_CHECKSUM`` env > default on)."""
-    if _checksum_override is not None:
-        return _checksum_override
-    return envgates.flag("REPRO_MEMO_CHECKSUM")
-
-
-def set_checksum(flag: Optional[bool]) -> None:
-    """Force checksumming on/off, or defer to the env flag (None)."""
-    global _checksum_override
-    _checksum_override = flag
 
 
 def clear() -> None:
@@ -505,7 +487,7 @@ def _blob_digest(blob: bytes) -> str:
 def _pack(region: str, val: Any, copy_result: bool) -> tuple:
     """Build the stored entry: a checksummed pickle blob for the object
     regions, a raw (possibly deep-copied) reference otherwise."""
-    if region in _BLOB_REGIONS and checksum_enabled():
+    if region in _BLOB_REGIONS:
         try:
             blob = pickle.dumps(val, protocol=pickle.HIGHEST_PROTOCOL)
         except Exception:
@@ -591,7 +573,7 @@ def memoise(region: str, key: Any, compute: Callable[[], Any], copy_result: bool
                     return val
     if _tracing.enabled():
         # span inside the memo boundary: misses time the real compute,
-        # hits record nothing (enforced by tools/lint_contracts.py)
+        # hits record nothing (enforced by the span-outside-memo rule)
         with _tracing.span(f"memo.miss.{region}"):
             val = compute()
     else:
@@ -601,18 +583,8 @@ def memoise(region: str, key: Any, compute: Callable[[], Any], copy_result: bool
         reg.store[key] = entry
         while len(reg.store) > reg.limit:
             reg.store.popitem(last=False)
-    if shared_key is not None:
-        if entry[0] == "blob":
-            _sharedmemo.publish(region, shared_key, entry[1])
-        else:
-            # checksum disabled locally: publish a pickled blob anyway —
-            # the shared record carries its own digest
-            try:
-                blob = pickle.dumps(val, protocol=pickle.HIGHEST_PROTOCOL)
-            except Exception:
-                pass
-            else:
-                _sharedmemo.publish(region, shared_key, blob)
+    if shared_key is not None and entry[0] == "blob":
+        _sharedmemo.publish(region, shared_key, entry[1])
     return val
 
 

@@ -1,14 +1,13 @@
-"""Execution-plan codegen for the sparse kernel layer.
+"""Execution-plan codegen for the simulated sparse kernels.
 
 PyOP2-style split of *plan construction* from *plan execution*: the
-simulated octet/wmma kernels and the shared functional paths used to
-re-derive their tiling schedule (vector-row walk, k-group/octet
-fragment gather, output-tile scatter) in interpreted Python on every
-call.  This package compiles that schedule once per (kernel
-fingerprint, structure signature) into flattened NumPy index arrays —
-a *plan* — cached in the checksummed ``plan`` memo region, and
-executes it with a handful of vectorised array ops and zero per-octet
-Python control flow.
+simulated octet/wmma kernels used to re-derive their tiling schedule
+(vector-row walk, k-group/octet fragment gather, output-tile scatter)
+in interpreted Python on every call.  This package compiles that
+schedule once per (kernel fingerprint, structure signature) into
+flattened NumPy index arrays — a *plan* — cached in the checksummed
+``plan`` memo region, and executes it with a handful of vectorised
+array ops and zero per-octet Python control flow.
 
 Contracts:
 
@@ -18,19 +17,13 @@ Contracts:
   ownership pass (:mod:`repro.sanitizer.plancheck`);
 * **schedule only** — plans hold index arrays derived from topology
   and tile config, never operand values, fault payloads, or spans;
-  fault-injection sites and obs spans fire at execution time;
-* **A/B switch** — ``REPRO_PLANS=0`` / :func:`set_enabled` routes all
-  paths back to the interpreted references.
+  fault-injection sites and obs spans fire at execution time.
+
+The simulated kernels always execute their plan; the interpreted
+twins stay callable as the parity oracle.
 """
 
-from .core import cached_plan, enabled, plan_key, set_enabled
-from .functional import (
-    FunctionalSddmmPlan,
-    FunctionalSpmmPlan,
-    expand_vector_rows,
-    functional_sddmm_plan,
-    functional_spmm_plan,
-)
+from .core import cached_plan, plan_key
 from .layout import GroupLayout, accumulation_levels, group_layout, row_of_group
 from .sddmm import (
     SddmmOctetPlan,
@@ -51,8 +44,6 @@ from .spmm import (
 from .validate import validate_plan
 
 __all__ = [
-    "enabled",
-    "set_enabled",
     "plan_key",
     "cached_plan",
     "GroupLayout",
@@ -71,10 +62,5 @@ __all__ = [
     "sddmm_wmma_plan",
     "execute_sddmm_octet",
     "execute_sddmm_wmma",
-    "FunctionalSpmmPlan",
-    "FunctionalSddmmPlan",
-    "expand_vector_rows",
-    "functional_spmm_plan",
-    "functional_sddmm_plan",
     "validate_plan",
 ]

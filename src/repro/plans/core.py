@@ -1,4 +1,4 @@
-"""Plan-cache core: the ``REPRO_PLANS`` gate and content-addressed lookup.
+"""Plan-cache core: content-addressed lookup of compiled plans.
 
 A *plan* is the schedule half of a kernel execution — precomputed
 gather/scatter index arrays and fragment batch descriptors derived
@@ -7,7 +7,7 @@ from operand values.  Compiling one costs a per-row Python walk (the
 thing the plan exists to amortise), so plans are cached in the
 checksummed ``plan`` region of :mod:`repro.perfmodel.memo`, keyed on
 
-* an operation tag (``"spmm-octet"``, ``"functional-sddmm"``, ...),
+* an operation tag (``"spmm-octet"``, ``"sddmm-wmma"``, ...),
 * :func:`~repro.perfmodel.memo.kernel_fingerprint` of the kernel
   instance (class + uppercase tile constants + scalar attributes), so
   changing a tile config invalidates the plan, and
@@ -20,48 +20,25 @@ stats/latency regions: a tampered entry is detected by its BLAKE2b
 digest and recompiled, never executed.  Because unpickling always
 materialises a fresh object, executors may treat cached plans as
 immutable without a defensive copy.
-
-``REPRO_PLANS=0`` (or :func:`set_enabled`\\ ``(False)``) routes every
-kernel back to its interpreted ``*_reference`` twin — the A/B switch
-the parity tests and ``benchmarks/bench_codegen.py`` rely on.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional, Tuple
+from typing import Any, Callable, Tuple
 
-from .. import envgates
 from ..perfmodel import memo
 
-__all__ = ["enabled", "set_enabled", "plan_key", "cached_plan"]
-
-_enabled_override: Optional[bool] = None
-
-
-def enabled() -> bool:
-    """Whether compiled execution plans are active (override > env > on)."""
-    if _enabled_override is not None:
-        return _enabled_override
-    return envgates.flag("REPRO_PLANS")
-
-
-def set_enabled(flag: Optional[bool]) -> None:
-    """Force plans on (True), off (False), or defer to ``REPRO_PLANS`` (None)."""
-    global _enabled_override
-    _enabled_override = flag
+__all__ = ["plan_key", "cached_plan"]
 
 
 def plan_key(op: str, kern: Any, structure: Any, *extras) -> Tuple:
     """Content address of a plan (see the module docstring for parts).
 
-    ``kern`` may be ``None`` for kernel-independent plans (the
-    functional layer has no tile config).  Raises :class:`TypeError`
-    when the kernel instance carries unfingerprintable attributes —
-    the caller then compiles fresh rather than risk serving another
-    configuration's schedule.
+    Raises :class:`TypeError` when the kernel instance carries
+    unfingerprintable attributes — the caller then compiles fresh
+    rather than risk serving another configuration's schedule.
     """
-    fp = None if kern is None else memo.kernel_fingerprint(kern)
-    return (op, fp, memo.signature(structure)) + tuple(extras)
+    return (op, memo.kernel_fingerprint(kern), memo.signature(structure)) + tuple(extras)
 
 
 def cached_plan(op: str, kern: Any, structure: Any, extras: Tuple, compute: Callable[[], Any]):

@@ -14,9 +14,7 @@ plan against it:
   slot (every pad slot is owned by *no* entry — the executor's
   zero-fill contract);
 * the accumulation levels visit every group exactly once (SpMM), and
-  the flat group->row map matches the group extents (SDDMM);
-* the functional plans' permutation / expansion arrays reproduce the
-  storage-order expansion.
+  the flat group->row map matches the group extents (SDDMM).
 
 ``validate_plan`` returns human-readable finding strings;
 :mod:`repro.sanitizer.plancheck` wraps them into ownership findings.
@@ -28,7 +26,6 @@ from typing import List, Optional
 
 import numpy as np
 
-from .functional import FunctionalSddmmPlan, FunctionalSpmmPlan, expand_vector_rows
 from .layout import GroupLayout
 from .sddmm import SddmmOctetPlan, SddmmWmmaPlan
 from .spmm import SpmmOctetPlan, SpmmWmmaPlan
@@ -111,8 +108,8 @@ def _kpad_findings(plan, step: int, k: Optional[int]) -> List[str]:
 def validate_plan(plan, structure, k: Optional[int] = None) -> List[str]:
     """Findings (empty when clean) for ``plan`` against ``structure``.
 
-    ``k`` is the SDDMM inner dimension when known; the SpMM and
-    functional plans ignore it.
+    ``k`` is the SDDMM inner dimension when known; the SpMM plans
+    ignore it.
     """
     row_nnz = structure.vector_row_nnz()
     if isinstance(plan, SpmmOctetPlan):
@@ -140,31 +137,4 @@ def validate_plan(plan, structure, k: Optional[int] = None) -> List[str]:
         if not np.array_equal(row_map, expect):
             out.append("flat group->row map does not match the group extents")
         return out
-    if isinstance(plan, FunctionalSpmmPlan):
-        out = []
-        rows, cols = expand_vector_rows(structure)
-        if plan.perm.shape != rows.shape or not np.array_equal(
-            np.sort(plan.perm), np.arange(rows.size)
-        ):
-            out.append("perm is not a permutation of the expanded entries")
-            return out
-        sorted_rows = rows[plan.perm]
-        if np.any(np.diff(sorted_rows) < 0):
-            out.append("perm does not sort the expanded entries by scalar row")
-        same_row = np.diff(sorted_rows) == 0
-        if np.any(same_row & (np.diff(plan.perm) <= 0)):
-            out.append("perm is not stable within a scalar row (storage order lost)")
-        if not np.array_equal(plan.indices, cols[plan.perm]):
-            out.append("CSR indices do not match the permuted expansion columns")
-        counts = np.bincount(rows, minlength=structure.shape[0])
-        indptr = np.zeros(structure.shape[0] + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        if not np.array_equal(plan.indptr, indptr):
-            out.append("CSR indptr does not match the expanded per-row counts")
-        return out
-    if isinstance(plan, FunctionalSddmmPlan):
-        rows, cols = expand_vector_rows(structure)
-        if not (np.array_equal(plan.rows, rows) and np.array_equal(plan.cols, cols)):
-            return ["expanded (row, col) gather pairs do not match the structure"]
-        return []
     return [f"unknown plan type {type(plan).__qualname__}"]

@@ -14,7 +14,7 @@ runs the checkers that apply to that kernel's design, and returns a
 * **ownership** runs for the HMMA octet kernels, whose simulate paths
   expose the register-level fragment schedule, and — as
   :mod:`repro.sanitizer.plancheck` — over every compiled execution
-  plan (:mod:`repro.plans`) of the simulated and functional paths.
+  plan (:mod:`repro.plans`) of the simulated kernels.
 
 ``sanitize(names, suite)`` is the engine behind
 ``python -m repro.cli sanitize``.
@@ -222,9 +222,6 @@ def _case_spmm_fpu(p: ProblemSpec) -> SanitizerReport:
     report = SanitizerReport(kernel="spmm-fpu")
     stats = FpuSpmmKernel().stats_for(a, p.n)
     _statcheck(report, stats)
-    # the FPU kernels execute through the shared functional layer, so
-    # their compiled plans are the functional expansion/CSR skeletons
-    _plancheck(report, plancheck.check_functional_plans("spmm-fpu", a))
     stage = int(stats.resources.shared_bytes_per_cta)
     _staging_plan_checks(
         report,
@@ -332,9 +329,6 @@ def _case_sddmm_fpu(p: ProblemSpec) -> SanitizerReport:
     _, _, mask = _sddmm_problem(p)
     report = SanitizerReport(kernel="sddmm-fpu")
     _statcheck(report, FpuSddmmKernel().stats_for(mask, p.k))
-    # the FPU kernels execute through the shared functional layer, so
-    # their compiled plans are the functional expansion/CSR skeletons
-    _plancheck(report, plancheck.check_functional_plans("sddmm-fpu", mask))
     return report
 
 

@@ -26,7 +26,6 @@ __all__ = [
     "check_spmm_wmma_plan",
     "check_sddmm_octet_plan",
     "check_sddmm_wmma_plan",
-    "check_functional_plans",
 ]
 
 _Result = Tuple[List[Finding], Dict[str, int]]
@@ -71,25 +70,3 @@ def check_sddmm_wmma_plan(kern, mask, k: int) -> _Result:
     msgs = plans.validate_plan(plan, mask, k=k)
     return _wrap(kern.name, msgs, "plans.sddmm_wmma_plan"), _layout_counters(plan)
 
-
-def check_functional_plans(kernel: str, structure) -> _Result:
-    """Validate the shared functional-layer plans for ``structure``.
-
-    Checks the SDDMM expansion plan always and the SpMM CSR skeleton
-    when the structure carries values (mask-only encodings have no
-    SpMM path).
-    """
-    findings: List[Finding] = []
-    counters: Dict[str, int] = {}
-    sd = plans.functional_sddmm_plan(structure)
-    findings += _wrap(
-        kernel, plans.validate_plan(sd, structure), "plans.functional_sddmm_plan"
-    )
-    counters["plan.slots"] = int(sd.rows.size)
-    if structure.values is not None:
-        sp = plans.functional_spmm_plan(structure)
-        findings += _wrap(
-            kernel, plans.validate_plan(sp, structure), "plans.functional_spmm_plan"
-        )
-        counters["plan.csr_entries"] = int(sp.indices.size)
-    return findings, counters

@@ -123,11 +123,9 @@ class TestMemoIntegrity:
     @pytest.fixture(autouse=True)
     def _memo_on(self):
         memo.set_enabled(True)
-        memo.set_checksum(True)
         memo.clear()
         yield
         memo.set_enabled(None)
-        memo.set_checksum(None)
         memo.clear()
 
     def _stats_once(self):
@@ -150,11 +148,3 @@ class TestMemoIntegrity:
         for _ in range(3):
             assert self._stats_once() == ref
         assert memo.integrity_failures() == 0
-
-    def test_checksum_can_be_disabled(self):
-        memo.set_checksum(False)
-        assert not memo.checksum_enabled()
-        ref = self._stats_once()
-        # raw storage: nothing to tamper with at the byte level
-        assert not memo.tamper_entry("stats", index=0)
-        assert self._stats_once() == ref

@@ -1,5 +1,7 @@
 """Edge-case coverage for the kernels: ragged shapes, residues, extremes."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,9 @@ from repro.kernels import (
     WmmaSddmmKernel,
     WmmaSpmmKernel,
     sddmm,
+    sddmm_functional,
     spmm,
+    spmm_functional,
 )
 
 RNG = np.random.default_rng(99)
@@ -188,3 +192,25 @@ class TestStatsConsistency:
         s2 = OctetSpmmKernel().stats_for(a, 128)
         assert s2.instructions.total > s1.instructions.total
         assert s2.flops == pytest.approx(2 * s1.flops)
+
+
+class TestDenseOperandRank:
+    """A non-2-D dense operand is a typed error naming the operand."""
+
+    A_SP, _ = random_vector_sparse(8, 16, 4, 0.5)
+    MASK = ColumnVectorSparseMatrix.mask_from_dense(np.ones((8, 12)), 4)
+    A2 = np.ones((8, 16), dtype=np.float16)
+    B2 = np.ones((16, 12), dtype=np.float16)
+
+    @pytest.mark.parametrize("call, operand, shape", [
+        (lambda s: spmm_functional(s.A_SP, np.ones(16)), "B", (16,)),
+        (lambda s: spmm(s.A_SP, np.ones(16)), "B", (16,)),
+        (lambda s: spmm(s.A_SP, np.ones((16, 4, 2))), "B", (16, 4, 2)),
+        (lambda s: sddmm_functional(np.ones(16), s.B2, s.MASK), "A", (16,)),
+        (lambda s: sddmm(np.ones(16), s.B2, s.MASK), "A", (16,)),
+        (lambda s: sddmm(s.A2, np.ones((16, 12, 1)), s.MASK), "B", (16, 12, 1)),
+    ], ids=["spmm_functional-1d", "spmm-1d", "spmm-3d",
+            "sddmm_functional-1d", "sddmm-1d", "sddmm-3d"])
+    def test_non_2d_operand_raises_value_error(self, call, operand, shape):
+        with pytest.raises(ValueError, match=rf"^{operand} must be a 2-D .*shape {re.escape(str(shape))}$"):
+            call(self)

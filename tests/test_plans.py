@@ -4,17 +4,16 @@ The plan compilers in :mod:`repro.plans` replace the interpreted
 per-row kernel walks with flattened gather/scatter schedules.  Three
 contracts are pinned here:
 
-* **bit parity** — every dispatch-registered simulated kernel and the
-  shared functional paths produce uint16-identical fp16 outputs (and
-  identical tensor-core issue accounting) through the plan path and
-  the pinned ``*_reference`` twin, fuzzed across vector lengths;
+* **bit parity** — every dispatch-registered simulated kernel
+  produces uint16-identical fp16 outputs (and identical tensor-core
+  issue accounting) through the plan path and the pinned
+  ``*_reference`` twin, fuzzed across vector lengths;
 * **cache discipline** — plans live in the checksummed ``plan`` memo
   region: second compile is a hit, topology or tile-config changes
-  miss, tampered blobs are detected and recompiled, and the
-  ``REPRO_PLANS`` gate routes everything back to the references;
+  miss, and tampered blobs are detected and recompiled;
 * **fault transparency** — injection sites fire at execution time on
-  the plan path (plans carry schedule only), so a fault campaign
-  detects SDCs identically with plans on or off.
+  the plan path (plans carry schedule only), so a seeded injector
+  corrupts the plan path and the reference twin identically.
 """
 
 import numpy as np
@@ -22,16 +21,10 @@ import pytest
 
 from repro import plans
 from repro.obs import metrics, tracing
-from repro.faults import FaultInjector, run_campaign
+from repro.faults import FaultInjector
 from repro.formats.conversions import cvse_from_csr_topology
 from repro.formats.csr import CSRMatrix
 from repro.formats.cvse import ColumnVectorSparseMatrix
-from repro.kernels.functional import (
-    sddmm_functional,
-    sddmm_functional_reference,
-    spmm_functional,
-    spmm_functional_reference,
-)
 from repro.kernels.sddmm_octet import SDDMM_VARIANTS, OctetSddmmKernel
 from repro.kernels.sddmm_wmma import WmmaSddmmKernel
 from repro.kernels.spmm_octet import OctetSpmmKernel
@@ -61,13 +54,6 @@ def _bits(x):
 
 def _counts(st):
     return (st.hmma_steps, st.mma_instructions, st.switch_steps)
-
-
-@pytest.fixture(autouse=True)
-def _plans_default():
-    plans.set_enabled(None)
-    yield
-    plans.set_enabled(None)
 
 
 # --------------------------------------------------------------------- #
@@ -127,39 +113,6 @@ class TestPlanParity:
         assert np.array_equal(_bits(got), _bits(ref))
         assert st == _counts(kern.last_sim_stats)
 
-    @pytest.mark.parametrize("v", VECTOR_LENGTHS)
-    def test_functional(self, v):
-        rng = np.random.default_rng(700 + v)
-        a = _random_cvse(rng, 16, 48, v)
-        b = rng.uniform(-1, 1, (a.shape[1], 40)).astype(np.float16)
-        assert np.array_equal(
-            _bits(spmm_functional(a, b)), _bits(spmm_functional_reference(a, b))
-        )
-        mask = _random_mask(rng, 12, 40, v)
-        ad = rng.uniform(-1, 1, (mask.shape[0], 24)).astype(np.float16)
-        bd = rng.uniform(-1, 1, (24, mask.shape[1])).astype(np.float16)
-        assert np.array_equal(
-            _bits(sddmm_functional(ad, bd, mask)),
-            _bits(sddmm_functional_reference(ad, bd, mask)),
-        )
-
-    def test_disabled_gate_routes_to_reference(self):
-        rng = np.random.default_rng(42)
-        a = _random_cvse(rng, 16, 48, 4)
-        b = rng.uniform(-1, 1, (a.shape[1], 32)).astype(np.float16)
-        kern = OctetSpmmKernel(simulate=True)
-        ref = kern._execute_simulated_reference(a, b)
-        plans.set_enabled(False)
-        assert not plans.enabled()
-        assert np.array_equal(_bits(kern._execute_simulated(a, b)), _bits(ref))
-
-    def test_env_flag_disables(self, monkeypatch):
-        plans.set_enabled(None)
-        monkeypatch.setenv("REPRO_PLANS", "0")
-        assert not plans.enabled()
-        monkeypatch.setenv("REPRO_PLANS", "1")
-        assert plans.enabled()
-
 
 # --------------------------------------------------------------------- #
 # plan cache: hits, invalidation, integrity
@@ -174,11 +127,9 @@ class TestPlanCache:
     @pytest.fixture(autouse=True)
     def _memo_on(self):
         memo.set_enabled(True)
-        memo.set_checksum(True)
         memo.clear()
         yield
         memo.set_enabled(None)
-        memo.set_checksum(None)
         memo.clear()
 
     def _plan_counters(self):
@@ -336,12 +287,27 @@ class TestFaultTransparency:
         assert inj.fired
         assert not np.array_equal(_bits(clean), _bits(dirty))
 
-    def test_campaign_detects_identically_plan_vs_reference(self):
-        def flat(result):
-            return [(r.target, r.seed, r.detected) for r in result.records]
-
-        plans.set_enabled(True)
-        on = flat(run_campaign("smoke", seed=77))
-        plans.set_enabled(False)
-        off = flat(run_campaign("smoke", seed=77))
-        assert on == off
+    @pytest.mark.parametrize("site", ["spmm_octet.acc", "sddmm_octet.acc"])
+    def test_seeded_fault_corrupts_plan_and_reference_identically(self, site):
+        rng = np.random.default_rng(21)
+        if site == "spmm_octet.acc":
+            kern = OctetSpmmKernel(simulate=True)
+            a = _random_cvse(rng, 16, 48, 4)
+            args = (a, rng.uniform(-1, 1, (a.shape[1], 32)).astype(np.float16))
+        else:
+            kern = OctetSddmmKernel(simulate=True)
+            mask = _random_mask(rng, 12, 40, 4)
+            args = (
+                rng.uniform(-1, 1, (mask.shape[0], 24)).astype(np.float16),
+                rng.uniform(-1, 1, (24, mask.shape[1])).astype(np.float16),
+                mask,
+            )
+        clean = kern._execute_simulated(*args)
+        dirty = []
+        for run in (kern._execute_simulated, kern._execute_simulated_reference):
+            inj = FaultInjector(site, "bitflip16", seed=77)
+            with inj.armed():
+                dirty.append(run(*args))
+            assert inj.fired
+        assert np.array_equal(_bits(dirty[0]), _bits(dirty[1]))
+        assert not np.array_equal(_bits(clean), _bits(dirty[0]))
