@@ -123,6 +123,7 @@ def main(argv=None) -> int:
     identical = base_results == fast_results
     speedup = base_s / fast_s if fast_s else float("inf")
     record = {
+        "benchmark": "wallclock",
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
         "python": platform.python_version(),
         "machine": platform.machine(),

@@ -1,8 +1,9 @@
 """Whole-repo static analysis for the repro system.
 
-Ten registered rules over one shared parse: the five PR-3 contract lints
-(``parity-tests``, ``no-input-mutation``, ``seeded-rng``,
-``span-outside-memo``, ``plan-reference-twins``) and five semantic passes
+Eleven registered rules over one shared parse: the five original contract
+lints (``parity-tests``, ``no-input-mutation``, ``seeded-rng``,
+``span-outside-memo``, ``plan-reference-twins``), the
+``integrity-primitive`` guard, and five semantic passes
 (``memo-key-soundness``, ``precision-flow``, ``env-gate-registry``,
 ``obs-naming-contract``, ``purity-propagation``).
 

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List
 
+from ..integrity import write_atomic
 from .core import Finding
 
 BASELINE_VERSION = 1
@@ -71,4 +72,4 @@ def write_baseline(path: Path, findings: List[Finding]) -> None:
             {"rule": finding.rule, "path": finding.path, "message": finding.message}
         )
     payload = {"version": BASELINE_VERSION, "findings": entries}
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n")
+    write_atomic(path, json.dumps(payload, indent=2) + "\n")

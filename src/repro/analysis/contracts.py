@@ -1,8 +1,9 @@
-"""The five PR-3 contract lints, migrated into registry rules.
+"""The AST contract rules: the five original contract lints, migrated into
+registry rules, plus the ``integrity-primitive`` guard.
 
 Each check is an AST walk with fixed patterns, discounts and messages; all
 run on the shared :class:`~repro.analysis.core.AnalysisContext` so one parse
-of the repo feeds all ten rules.
+of the repo feeds all eleven rules.
 """
 
 from __future__ import annotations
@@ -36,6 +37,9 @@ SPAN_DECORATORS = {"traced"}
 MEMO_DECORATORS = {"memoise", "memoised", "memoised_rng", "memoised_stats"}
 
 _DISPATCH_REL = "src/repro/kernels/dispatch.py"
+_INTEGRITY_REL = "src/repro/integrity.py"
+#: file-replace entry points that belong to repro.integrity.write_atomic
+_RENAMES = {"replace", "rename"}
 
 
 def kernel_classes_from_dispatch(tree: ast.Module) -> List[str]:
@@ -252,4 +256,43 @@ def check_plan_reference_twins(ctx: AnalysisContext) -> List[Finding]:
                             "a plan-vs-reference parity test",
                         )
                     )
+    return findings
+
+
+@rule("integrity-primitive",
+      description="digests and atomic file replaces go through repro.integrity")
+def check_integrity_primitive(ctx: AnalysisContext) -> List[Finding]:
+    """Only ``repro/integrity.py`` hashes or renames files.
+
+    Flags ``import hashlib`` (either form), ``os.replace``/``os.rename``,
+    and ``.replace(x)``/``.rename(x)`` method calls with exactly one
+    positional argument and no keywords — the ``Path`` tmp-rename shape,
+    which ``str.replace(a, b)`` and ``dataclasses.replace(obj, **kw)``
+    never take.
+    """
+
+    findings: List[Finding] = []
+    for info in ctx.files:
+        if info.rel == _INTEGRITY_REL:
+            continue
+        for node in ast.walk(info.tree):
+            msg = None
+            if isinstance(node, ast.Import) and any(
+                    a.name == "hashlib" for a in node.names):
+                msg = "imports hashlib — use repro.integrity.digest"
+            elif isinstance(node, ast.ImportFrom) and node.module == "hashlib":
+                msg = "imports from hashlib — use repro.integrity.digest"
+            elif (isinstance(node, ast.Attribute) and node.attr in _RENAMES
+                  and isinstance(node.value, ast.Name) and node.value.id == "os"):
+                msg = (f"os.{node.attr} — replace files through "
+                       "repro.integrity.write_atomic")
+            elif (isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Attribute)
+                  and node.func.attr in _RENAMES
+                  and len(node.args) == 1 and not node.keywords):
+                msg = (f"one-argument .{node.func.attr}() file rename — replace files "
+                       "through repro.integrity.write_atomic")
+            if msg:
+                findings.append(
+                    Finding("integrity-primitive", info.rel, node.lineno, msg))
     return findings

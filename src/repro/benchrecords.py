@@ -2,11 +2,9 @@
 
 The benchmark trajectory accumulated one record shape per bench script
 — five heterogeneous ad-hoc dicts.  This module pins each shape as a
-tagged union: the tag is the ``benchmark``/``bench`` field (the legacy
-wallclock records are untagged and recognised by their
-``baseline_serial_memo_off_s`` key), and every kind requires the common
-provenance fields (``timestamp``/``python``/``machine``/``cpus``) plus
-its own payload keys.  Extra keys are allowed — the schema pins what a
+tagged union: the tag is the ``benchmark``/``bench`` field, and every
+kind requires the common provenance fields (``timestamp``/``python``/
+``machine``/``cpus``) plus its own payload keys.  Extra keys are allowed — the schema pins what a
 record *must* carry, not everything it may.
 
 ``tools/check_bench_schema.py`` validates the checked-in trajectory in
@@ -21,6 +19,8 @@ import json
 from pathlib import Path
 from typing import Dict, List
 
+from .integrity import write_atomic
+
 __all__ = [
     "COMMON_FIELDS",
     "KINDS",
@@ -33,11 +33,10 @@ __all__ = [
 #: provenance every record carries regardless of kind
 COMMON_FIELDS = ["timestamp", "python", "machine", "cpus"]
 
-#: kind tag -> required payload fields.  ``benchmark:*`` / ``bench:*``
-#: tags come from the record's own discriminator field; ``wallclock``
-#: is the untagged legacy shape.
+#: kind tag -> required payload fields; ``benchmark:*`` / ``bench:*``
+#: tags come from the record's own discriminator field
 KINDS: Dict[str, List[str]] = {
-    "wallclock": [
+    "benchmark:wallclock": [
         "baseline_serial_memo_off_s", "fast_jobs_memo_on_s", "jobs",
         "speedup", "repeats", "experiments", "outputs_identical",
     ],
@@ -82,11 +81,7 @@ def kind_of(record: Dict[str, object]) -> str:
         return f"benchmark:{record['benchmark']}"
     if "bench" in record:
         return f"bench:{record['bench']}"
-    if "baseline_serial_memo_off_s" in record:
-        return "wallclock"
-    raise ValueError(
-        "record has no benchmark/bench tag and is not a wallclock shape; "
-        f"keys: {sorted(record)}")
+    raise ValueError(f"record has no benchmark/bench tag; keys: {sorted(record)}")
 
 
 def validate_record(record: Dict[str, object]) -> List[str]:
@@ -114,9 +109,10 @@ def validate_trajectory(records: object) -> List[str]:
 def append_bench_record(path: Path, record: Dict[str, object]) -> None:
     """Validate ``record``, then append it to the trajectory at ``path``.
 
-    The write idiom (load-append-rewrite, ``indent=2`` + trailing
-    newline) matches what every bench script used to do inline; an
-    invalid record raises before anything is touched.
+    The trajectory is rewritten whole (``indent=2`` + trailing newline)
+    through :func:`repro.integrity.write_atomic`, so an interrupted
+    append leaves the previous trajectory; an invalid record raises
+    before anything is touched.
     """
     problems = validate_record(record)
     if problems:
@@ -126,4 +122,4 @@ def append_bench_record(path: Path, record: Dict[str, object]) -> None:
     if not isinstance(trajectory, list):
         raise ValueError(f"{path} does not hold a JSON array")
     trajectory.append(record)
-    path.write_text(json.dumps(trajectory, indent=2) + "\n")
+    write_atomic(path, json.dumps(trajectory, indent=2) + "\n")

@@ -6,15 +6,12 @@ comparison table of every applicable kernel against the dense cuBLAS
 analog — the per-matrix version of Figures 17/19.
 
 The ``sanitize`` subcommand instead runs the kernel sanitizer
-(:mod:`repro.sanitizer`) over any kernel case x problem suite, the
+(:mod:`repro.sanitizer`) over any kernel case x problem suite, and the
 ``faults`` subcommand runs a seeded SDC fault-injection campaign
-(:mod:`repro.faults`) measuring the sanitizer's detection coverage,
-and the ``plans`` subcommand compiles, validates, and parity-checks
-the execution plans (:mod:`repro.plans`) of every simulated kernel on
-a seeded problem.  The ``memo`` subcommand inspects (and verifies or
-compacts) the shared cross-process memo store
-(:mod:`repro.perfmodel.sharedmemo`), ``merge`` combines ``--shard``
-sweep outputs into one verified result
+(:mod:`repro.faults`) measuring the sanitizer's detection coverage.
+The ``memo`` subcommand inspects (and verifies or compacts) the shared
+cross-process memo store (:mod:`repro.perfmodel.sharedmemo`),
+``merge`` combines ``--shard`` sweep outputs into one verified result
 (:mod:`repro.experiments.sharding`), and ``serve`` runs the
 multi-tenant serving simulator (:mod:`repro.serving`) over a named
 scenario with admission control, hedged retries and graceful
@@ -38,8 +35,6 @@ Examples
     python -m repro.cli faults --campaign default --seed 7 -v
     python -m repro.cli obs --only fig17 --trace-out t.json
     python -m repro.cli obs --smoke
-    python -m repro.cli plans --parity
-    python -m repro.cli plans -V 8 --rows 128 --cols 256 -N 128 -K 128
     python -m repro.cli memo --dir .repro-memo --verify
     python -m repro.cli memo --compact
     python -m repro.cli merge out-shard0 out-shard1 --out out-merged
@@ -75,7 +70,7 @@ from .kernels.spmm_wmma import WmmaSpmmKernel
 from .perfmodel.profiler import format_table, guidelines_table, profile_kernel
 
 __all__ = ["main", "build_parser", "build_sanitize_parser", "build_faults_parser",
-           "build_obs_parser", "build_plans_parser", "build_memo_parser",
+           "build_obs_parser", "build_memo_parser",
            "build_merge_parser", "build_analyze_parser", "build_serve_parser",
            "build_profile_parser", "bench_spmm", "bench_sddmm", "EXIT_CLEAN",
            "EXIT_FINDINGS", "EXIT_USAGE"]
@@ -330,95 +325,6 @@ def _obs_main(argv) -> int:
             return 1
         print("obs smoke: chrome schema OK, coverage OK, metrics tables OK")
     return 1 if degraded else 0
-
-
-def build_plans_parser() -> argparse.ArgumentParser:
-    """Argument parser for ``repro-bench plans``."""
-    ap = argparse.ArgumentParser(
-        prog="repro-bench plans",
-        description="Compile the execution plans (repro.plans) of every "
-                    "simulated kernel on a seeded problem, run the ownership "
-                    "validation over them, and report the plan-cache traffic",
-    )
-    ap.add_argument("--rows", type=int, default=64, help="sparse operand rows")
-    ap.add_argument("--cols", type=int, default=128, help="sparse operand cols")
-    ap.add_argument("--sparsity", type=float, default=0.7, help="vector-level sparsity")
-    ap.add_argument("-V", "--vector-length", type=int, default=4, choices=(2, 4, 8))
-    ap.add_argument("-N", type=int, default=64, help="dense columns (SpMM)")
-    ap.add_argument("-K", type=int, default=64, help="inner dimension (SDDMM)")
-    ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--parity", action="store_true",
-                    help="also execute each plan and require bit-identity "
-                         "against the interpreted *_reference twin")
-    return ap
-
-
-def _plans_main(argv) -> int:
-    """``plans`` subcommand: exit 0 when every plan validates (and, with
-    ``--parity``, matches its reference bit for bit), 1 otherwise."""
-    from . import plans
-    from .perfmodel import memo
-
-    args = build_plans_parser().parse_args(argv)
-    rng = np.random.default_rng(args.seed)
-    v = args.vector_length
-    csr = generate_topology((args.rows, args.cols), args.sparsity, rng)
-    a = cvse_from_csr_topology(csr, v, rng)
-    mask = ColumnVectorSparseMatrix(a.shape, v, a.row_ptr, a.col_idx, None)
-    b_spmm = rng.uniform(-1, 1, (a.shape[1], args.N)).astype(np.float16)
-    a_dense = rng.uniform(-1, 1, (a.shape[0], args.K)).astype(np.float16)
-    b_sddmm = rng.uniform(-1, 1, (args.K, a.shape[1])).astype(np.float16)
-
-    def _bits_equal(x, y) -> bool:
-        xv = np.asarray(x.values if hasattr(x, "values") else x)
-        yv = np.asarray(y.values if hasattr(y, "values") else y)
-        return np.array_equal(xv.view(np.uint16), yv.view(np.uint16))
-
-    cases = [
-        ("spmm-octet", OctetSpmmKernel(simulate=True),
-         lambda k: plans.spmm_octet_plan(k, a), a, None,
-         lambda k: (k._execute_simulated(a, b_spmm),
-                    k._execute_simulated_reference(a, b_spmm))),
-        ("spmm-wmma", WmmaSpmmKernel(simulate=True),
-         lambda k: plans.spmm_wmma_plan(k, a), a, None,
-         lambda k: (k._execute_simulated(a, b_spmm),
-                    k._execute_simulated_reference(a, b_spmm))),
-    ]
-    for variant in ("reg", "shfl", "arch"):
-        cases.append(
-            (f"sddmm-octet-{variant}", OctetSddmmKernel(variant=variant, simulate=True),
-             lambda k: plans.sddmm_octet_plan(k, mask, args.K), mask, args.K,
-             lambda k: (k._execute_simulated(a_dense, b_sddmm, mask),
-                        k._execute_simulated_reference(a_dense, b_sddmm, mask))))
-    cases.append(
-        ("sddmm-wmma", WmmaSddmmKernel(simulate=True),
-         lambda k: plans.sddmm_wmma_plan(k, mask, args.K), mask, args.K,
-         lambda k: (k._execute_simulated(a_dense, b_sddmm, mask),
-                    k._execute_simulated_reference(a_dense, b_sddmm, mask))))
-
-    before = memo.counters()
-    rows, failed = [], False
-    for name, kern, compile_plan, structure, k, run_pair in cases:
-        plan = compile_plan(kern)
-        findings = plans.validate_plan(plan, structure, k=k)
-        row = {"kernel": name, "plan": type(plan).__name__,
-               "groups": int(plan.layout.num_groups), "findings": len(findings)}
-        if args.parity:
-            got, ref = run_pair(kern)
-            row["parity"] = "ok" if _bits_equal(got, ref) else "FAIL"
-            failed |= row["parity"] == "FAIL"
-        failed |= bool(findings)
-        rows.append(row)
-        for msg in findings:
-            print(f"  {name}: {msg}", file=sys.stderr)
-    after = memo.counters()
-    print(format_table(rows))
-    h0, m0 = before.get("plan", (0, 0))
-    h1, m1 = after.get("plan", (0, 0))
-    hits, misses = h1 - h0, m1 - m0
-    print(f"\nplan cache: {hits} hit(s), {misses} miss(es) "
-          f"(memo={memo.enabled()})")
-    return 1 if failed else 0
 
 
 def build_memo_parser() -> argparse.ArgumentParser:
@@ -756,8 +662,11 @@ def _profile_main(argv) -> int:
         print(f"\nhistory: appended {record['digest'][:12]} to {history_path}")
 
     if args.diff_runs:
-        records = profiler.query(profiler.load_history(history_path),
-                                 kind="kernel-profile")
+        try:
+            records = profiler.query(profiler.load_history(history_path),
+                                     kind="kernel-profile")
+        except (OSError, ValueError) as exc:
+            return _usage_error(exc)
         i, j = args.diff_runs
         try:
             ra, rb = records[i], records[j]
@@ -783,7 +692,10 @@ def _profile_main(argv) -> int:
         if not baseline_path.exists():
             return _usage_error(f"baseline {baseline_path} does not exist "
                                 f"(create it with --update-baseline)")
-        baseline = profiler.load_baseline(baseline_path)
+        try:
+            baseline = profiler.load_baseline(baseline_path)
+        except (OSError, ValueError) as exc:
+            return _usage_error(exc)
         regressions = profiler.check_profiles(profiles, baseline,
                                               config=config.name)
         from .obs import metrics as obs_metrics
@@ -819,9 +731,12 @@ def _profile_main(argv) -> int:
             failures.append(f"roofline agreement: {mismatched} classified "
                             f"against the two-ceiling prediction")
         if record is not None:
-            same = profiler.query(profiler.load_history(history_path),
-                                  kind="kernel-profile",
-                                  config_digest=record["config_digest"])
+            try:
+                same = profiler.query(profiler.load_history(history_path),
+                                      kind="kernel-profile",
+                                      config_digest=record["config_digest"])
+            except (OSError, ValueError) as exc:
+                return _usage_error(exc)
             bad = profiler.validate_record(same[-1]) if same else ["missing"]
             if bad:
                 failures.append(f"history: last record invalid: {bad}")
@@ -1036,8 +951,6 @@ def main(argv=None) -> int:
         return _faults_main(argv[1:])
     if argv and argv[0] == "obs":
         return _obs_main(argv[1:])
-    if argv and argv[0] == "plans":
-        return _plans_main(argv[1:])
     if argv and argv[0] == "memo":
         return _memo_main(argv[1:])
     if argv and argv[0] == "merge":

@@ -50,7 +50,7 @@ import time
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
 
-from .. import envgates
+from .. import envgates, integrity
 from ..obs import metrics as obs_metrics
 from ..obs import tracing as obs_tracing
 from ..perfmodel import memo
@@ -249,22 +249,13 @@ def _emit(name: str, res, dt: float, payload: Dict[str, object], out_dir: Path |
     print(f"  ({dt:.1f}s, memo: {100.0 * memo.hit_rate(served, lookups - served):.0f}% hit, "
           f"{served}/{lookups})\n")
     if write and out_dir is not None:
-        _write_artifact(out_dir, name, text)
-
-
-def _write_artifact(out_dir: Path, name: str, text: str) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / f"{name}.txt").write_text(text + "\n")
+        sharding.write_artifact(out_dir, name, text)
 
 
 # --------------------------------------------------------------------- #
-# checkpoint manifest (primitives live in sharding.py; re-exported here
-# because the manifest format is shared with the shard-merge path)
+# checkpoint manifest (primitives live in sharding.py, shared with the
+# shard-merge path)
 # --------------------------------------------------------------------- #
-_text_checksum = sharding.text_checksum
-_load_manifest = sharding.load_manifest
-
-
 def _config_hash(name: str, quick: bool, trace: bool,
                  shard: Optional[Tuple[int, int]] = None) -> str:
     """Hash of everything that shapes an experiment's output (``jobs``
@@ -278,11 +269,10 @@ def _checkpoint(out_dir: Path, manifest: Dict[str, dict], name: str,
                 config: str, text: str, seconds: float,
                 extra: Optional[Dict[str, object]] = None) -> None:
     """Record one completed experiment and rewrite the manifest
-    atomically (write-then-rename, so a kill mid-write leaves the old
-    manifest, never a torn one)."""
+    atomically."""
     entry: Dict[str, object] = {
         "config": config,
-        "checksum": _text_checksum(text),
+        "checksum": sharding.text_checksum(text),
         "seconds": round(seconds, 3),
     }
     if extra:
@@ -303,11 +293,8 @@ def _resume_skips(names: List[str], quick: bool, trace: bool,
             continue
         if entry.get("config") != _config_hash(name, quick, trace, shard=shard):
             continue  # stale: quick/trace/shard changed since checkpoint
-        artifact = out_dir / f"{name}.txt"
-        if not artifact.is_file():
-            continue
-        if _text_checksum(artifact.read_text()[:-1]) != entry.get("checksum"):
-            continue  # artifact edited/corrupted on disk: rerun
+        if sharding.verified_artifact(out_dir, name, entry) is None:
+            continue  # artifact missing or edited/corrupted on disk: rerun
         skips.append(name)
     return skips
 
@@ -394,7 +381,7 @@ def run_all(
     names = list(EXPERIMENTS) if not only else [n for n in EXPERIMENTS if n in set(only)]
     requested = list(names)
 
-    manifest: Dict[str, dict] = _load_manifest(out_dir) if out_dir is not None else {}
+    manifest: Dict[str, dict] = sharding.load_manifest(out_dir) if out_dir is not None else {}
     if shard_t is not None:
         # this shard: its wholesale assignment + every cell-shardable
         # experiment (those partition their own grid)
@@ -443,7 +430,7 @@ def run_all(
         obs_metrics.merge(payload.get("metrics"))
         text = rendered[name] = _render(name, res)
         if out_dir is not None:
-            _write_artifact(out_dir, name, text)
+            sharding.write_artifact(out_dir, name, text)
             if profile:
                 _write_profile_artifact(out_dir, name, dt, payload,
                                         _config_hash(name, quick, trace,
@@ -455,8 +442,8 @@ def run_all(
                 # key order matters: row columns render in insertion
                 # order, and json round-trips it
                 doc = json.dumps(sharding.rows_doc(res))
-                (out_dir / f"{name}.rows.json").write_text(doc)
-                extra = {"rows_checksum": _text_checksum(doc)}
+                integrity.write_atomic(out_dir / f"{name}.rows.json", doc)
+                extra = {"rows_checksum": sharding.text_checksum(doc)}
             _checkpoint(out_dir, manifest, name,
                         _config_hash(name, quick, trace, shard=shard_t),
                         text, dt, extra=extra)

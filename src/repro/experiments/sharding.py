@@ -37,10 +37,11 @@ pinned by ``tests/test_sharding.py``.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
+
+from .. import integrity
 
 __all__ = [
     "CELL_SHARDABLE",
@@ -54,6 +55,8 @@ __all__ = [
     "text_checksum",
     "load_manifest",
     "write_manifest",
+    "write_artifact",
+    "verified_artifact",
     "rows_doc",
     "merge_shards",
     "verify_manifest",
@@ -135,14 +138,12 @@ def config_hash(name: str, quick: bool, trace: bool,
     payload: list = [name, bool(quick), bool(trace)]
     if shard is not None and name in CELL_SHARDABLE:
         payload.append([int(shard[0]), int(shard[1])])
-    h = hashlib.blake2b(digest_size=12)
-    h.update(json.dumps(payload).encode())
-    return h.hexdigest()
+    return integrity.digest(json.dumps(payload).encode(), size=12).hex()
 
 
 def text_checksum(text: str) -> str:
     """Checksum recorded next to every artifact and rows document."""
-    return hashlib.blake2b(text.encode(), digest_size=12).hexdigest()
+    return integrity.digest(text.encode(), size=12).hex()
 
 
 def load_manifest(out_dir: Path) -> Dict[str, dict]:
@@ -159,13 +160,29 @@ def load_manifest(out_dir: Path) -> Dict[str, dict]:
 
 
 def write_manifest(out_dir: Path, manifest: Dict[str, dict]) -> None:
-    """Rewrite the manifest atomically (write-then-rename, so a kill
-    mid-write leaves the old manifest, never a torn one)."""
+    """Rewrite the manifest atomically (a kill mid-write leaves the old
+    manifest, never a torn one)."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    tmp = out_dir / (MANIFEST_NAME + ".tmp")
-    tmp.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    tmp.replace(out_dir / MANIFEST_NAME)
+    integrity.write_atomic(out_dir / MANIFEST_NAME,
+                           json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+
+
+def write_artifact(out_dir: Path, name: str, text: str) -> None:
+    """Atomically write ``<name>.txt`` (``text`` plus one newline)."""
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    integrity.write_atomic(out_dir / f"{name}.txt", text + "\n")
+
+
+def verified_artifact(out_dir: Path, name: str, entry: dict) -> Optional[str]:
+    """``<name>.txt``'s text when it exists and matches the checksum its
+    manifest ``entry`` records; ``None`` when missing or corrupted."""
+    artifact = Path(out_dir) / f"{name}.txt"
+    if not artifact.is_file():
+        return None
+    text = artifact.read_text(encoding="utf-8")[:-1]  # drop write_artifact's \n
+    return text if text_checksum(text) == entry.get("checksum") else None
 
 
 def rows_doc(res) -> Dict[str, object]:
@@ -227,15 +244,13 @@ def _shard_infos(shard_dirs: Sequence[Path]) -> List[Tuple[Path, dict, dict]]:
 
 def _read_artifact(d: Path, name: str, entry: dict) -> str:
     """A shard artifact's text, verified against its recorded checksum."""
-    artifact = Path(d) / f"{name}.txt"
-    if not artifact.is_file():
-        raise MergeError(f"{name}: artifact {artifact} is missing")
-    text = artifact.read_text()[:-1]  # _write_artifact appends one \n
-    if text_checksum(text) != entry.get("checksum"):
+    text = verified_artifact(d, name, entry)
+    if text is None:
         raise MergeError(
-            f"{name}: artifact in {d} does not match its recorded "
-            f"checksum — the shard output was edited or corrupted; re-run "
-            f"that shard (its --resume will skip verified experiments)"
+            f"{name}: artifact in {d} is missing or does not match its "
+            f"recorded checksum — the shard output was lost, edited or "
+            f"corrupted; re-run that shard (its --resume will skip "
+            f"verified experiments)"
         )
     return text
 
@@ -298,9 +313,8 @@ def _merge_cell_shardable(name: str, infos, quick: bool, trace_eff: bool,
     )
     res.notes.update(finalisers[name](res.rows))
     text = runner._render(name, res)
-    (out_dir / f"{name}.txt").write_text(text + "\n")
-    merged_doc = rows_doc(res)
-    (out_dir / f"{name}.rows.json").write_text(json.dumps(merged_doc))
+    write_artifact(out_dir, name, text)
+    integrity.write_atomic(out_dir / f"{name}.rows.json", json.dumps(rows_doc(res)))
     return {
         "config": config_hash(name, quick, trace_eff),
         "checksum": text_checksum(text),
@@ -353,8 +367,7 @@ def merge_shards(shard_dirs: Sequence[Path], out_dir: Path) -> Dict[str, object]
                 f"configuration than its {SHARD_KEY} entry claims — "
                 f"refusing to mix sweeps"
             )
-        text = _read_artifact(d, name, entry)
-        (out_dir / f"{name}.txt").write_text(text + "\n")
+        write_artifact(out_dir, name, _read_artifact(d, name, entry))
         merged[name] = {
             "config": entry["config"],
             "checksum": entry["checksum"],
@@ -382,8 +395,5 @@ def verify_manifest(out_dir: Path) -> Dict[str, bool]:
             continue
         if "config" not in entry:
             continue
-        artifact = out_dir / f"{name}.txt"
-        ok = artifact.is_file() and text_checksum(
-            artifact.read_text()[:-1]) == entry.get("checksum")
-        results[name] = bool(ok)
+        results[name] = verified_artifact(out_dir, name, entry) is not None
     return results

@@ -40,11 +40,11 @@ useful for subprocess benchmarks), and :func:`counters`/
 :func:`snapshot`/:func:`delta` for hit-rate reporting.
 
 Integrity: the object-valued regions (``stats``/``latency``/``trace``/
-``suite``/``plan``) store each value as a pickled blob plus a BLAKE2b
-digest of the bytes.  Every hit re-hashes the stored bytes before unpickling, so
-a corrupted entry (bit rot, a buggy in-place mutation, or the fault
-injector's ``tamper_entry``) is *detected and recomputed, never
-served* — the failure lands in :func:`integrity_counters` and the
+``suite``/``plan``) store each value as a pickled blob plus its
+:func:`repro.integrity.digest`.  Every hit re-hashes the stored bytes
+before unpickling, so a corrupted entry (bit rot, a buggy in-place
+mutation, or the fault injector's ``tamper_entry``) is *detected and
+recomputed, never served* — the failure lands in :func:`integrity_counters` and the
 fresh value replaces the bad entry.  The RNG-keyed operand regions
 (``problem``/``format``) keep raw references (their values are
 hundreds of MB of arrays; re-hashing them per hit would erase the
@@ -67,7 +67,6 @@ from __future__ import annotations
 import copy
 import dataclasses
 import functools
-import hashlib
 import pickle
 import threading
 from collections import OrderedDict
@@ -75,7 +74,7 @@ from typing import Any, Callable, Dict, Optional, Tuple
 
 import numpy as np
 
-from .. import envgates
+from .. import envgates, integrity
 from ..obs import tracing as _tracing
 from . import sharedmemo as _sharedmemo
 
@@ -311,13 +310,11 @@ def tamper_entry(region: str, index: int = 0, flip_byte: int = 0) -> bool:
 # fingerprints
 # --------------------------------------------------------------------- #
 def _digest(*buffers) -> str:
-    h = hashlib.blake2b(digest_size=16)
+    parts = []
     for buf in buffers:
         arr = np.ascontiguousarray(buf)
-        h.update(str(arr.shape).encode())
-        h.update(arr.dtype.str.encode())
-        h.update(arr.tobytes())
-    return h.hexdigest()
+        parts += [str(arr.shape).encode(), arr.dtype.str.encode(), arr.tobytes()]
+    return integrity.digest(*parts).hex()
 
 
 def _array_signature(a: np.ndarray) -> tuple:
@@ -480,10 +477,6 @@ def _freeze(obj: Any) -> Any:
 # --------------------------------------------------------------------- #
 # cache core
 # --------------------------------------------------------------------- #
-def _blob_digest(blob: bytes) -> str:
-    return hashlib.blake2b(blob, digest_size=16).hexdigest()
-
-
 def _pack(region: str, val: Any, copy_result: bool) -> tuple:
     """Build the stored entry: a checksummed pickle blob for the object
     regions, a raw (possibly deep-copied) reference otherwise."""
@@ -493,7 +486,7 @@ def _pack(region: str, val: Any, copy_result: bool) -> tuple:
         except Exception:
             pass  # unpicklable value: degrade to raw storage
         else:
-            return ("blob", blob, _blob_digest(blob))
+            return ("blob", blob, integrity.digest(blob))
     return ("raw", copy.deepcopy(val) if copy_result else val)
 
 
@@ -542,7 +535,7 @@ def memoise(region: str, key: Any, compute: Callable[[], Any], copy_result: bool
         if entry is not None:
             if entry[0] == "blob":
                 _, blob, digest = entry
-                if _blob_digest(blob) == digest:
+                if integrity.digest(blob) == digest:
                     reg.hits += 1
                     return pickle.loads(blob)
                 reg.integrity += 1
@@ -567,7 +560,7 @@ def memoise(region: str, key: Any, compute: Callable[[], Any], copy_result: bool
                     pass  # undecodable despite checksum: recompute
                 else:
                     with _lock:
-                        reg.store[key] = ("blob", blob, _blob_digest(blob))
+                        reg.store[key] = ("blob", blob, integrity.digest(blob))
                         while len(reg.store) > reg.limit:
                             reg.store.popitem(last=False)
                     return val

@@ -13,7 +13,7 @@ Store layout (one directory, any number of concurrent processes)::
                                   per process (never rewritten in place)
     <dir>/index/<writer>.json     that writer's entry catalogue,
                                   republished atomically via
-                                  write-tmp-then-rename
+                                  :func:`repro.integrity.write_atomic`
 
 * **Single-writer segments** — each process appends only to its own
   segment file, so there is no cross-process write contention and no
@@ -22,8 +22,8 @@ Store layout (one directory, any number of concurrent processes)::
   catalogues exist, and reads blobs at the recorded offsets.  An index
   is only ever replaced by rename, so a reader sees the old complete
   catalogue or the new complete catalogue, never a torn one.
-* **Checksummed entries** — every record carries a BLAKE2b digest of
-  its pickled bytes; a read re-hashes before unpickling.  A corrupted
+* **Checksummed entries** — every record carries the
+  :func:`repro.integrity.digest` of its pickled bytes; a read re-hashes before unpickling.  A corrupted
   or truncated segment entry is *detected and dropped, never served* —
   the failure lands in :func:`integrity_counters` and the caller
   recomputes (and republishes) the value.
@@ -64,7 +64,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .. import envgates
+from .. import envgates, integrity
 from ..obs import tracing as _tracing
 
 __all__ = [
@@ -176,20 +176,11 @@ def _normalise(obj: Any) -> Any:
 def key_digest(region: str, key: Any) -> Optional[bytes]:
     """16-byte canonical digest of ``(region, key)``; ``None`` when the
     key cannot be normalised (the entry then stays process-local)."""
-    import hashlib
-
     try:
         norm = _normalise(key)
     except TypeError:
         return None
-    blob = pickle.dumps((region, norm), protocol=_KEY_PROTOCOL)
-    return hashlib.blake2b(blob, digest_size=16).digest()
-
-
-def _blob_digest(blob: bytes) -> bytes:
-    import hashlib
-
-    return hashlib.blake2b(blob, digest_size=16).digest()
+    return integrity.digest(pickle.dumps((region, norm), protocol=_KEY_PROTOCOL))
 
 
 # --------------------------------------------------------------------- #
@@ -228,7 +219,7 @@ class _Writer:
         if self._fh is None:
             self._fh = open(self.path, "ab")
             self._offset = self._fh.tell()
-        vdigest = _blob_digest(blob)
+        vdigest = integrity.digest(blob)
         header = _HEADER.pack(_RECORD_MAGIC, key, vdigest, len(blob))
         self._fh.write(header)
         self._fh.write(blob)
@@ -243,15 +234,13 @@ class _Writer:
         return _Entry(region, self.segment_name, offset, len(blob), vdigest)
 
     def publish_index(self) -> None:
-        """Atomically replace this writer's catalogue (tmp + rename)."""
+        """Atomically replace this writer's catalogue."""
         if not self._unpublished:
             return
         doc = {"writer": self.writer_id, "segment": self.segment_name,
                "entries": self.entries}
-        final = self.root / "index" / f"{self.writer_id}.json"
-        tmp = final.with_suffix(".json.tmp")
-        tmp.write_text(json.dumps(doc))
-        tmp.replace(final)
+        integrity.write_atomic(
+            self.root / "index" / f"{self.writer_id}.json", json.dumps(doc))
         self._unpublished = 0
 
     def close(self) -> None:
@@ -371,7 +360,7 @@ def _read_blob(root: Path, entry: _Entry) -> Optional[bytes]:
             blob = fh.read(entry.length)
     except OSError:
         return None
-    if len(blob) != entry.length or _blob_digest(blob) != entry.digest:
+    if len(blob) != entry.length or integrity.digest(blob) != entry.digest:
         return None
     return blob
 

@@ -20,6 +20,7 @@ import json
 from pathlib import Path
 from typing import Dict, List, Optional
 
+from ..integrity import write_atomic
 from .counters import KernelProfile
 
 __all__ = [
@@ -72,13 +73,18 @@ def baseline_from_profiles(profiles: Dict[str, KernelProfile],
 def write_baseline(path: Path, baseline: Dict[str, object]) -> None:
     """Write a baseline document (stable formatting for clean diffs)."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(baseline, indent=2, sort_keys=True) + "\n",
-                    encoding="utf-8")
+    write_atomic(path, json.dumps(baseline, indent=2, sort_keys=True) + "\n")
 
 
 def load_baseline(path: Path) -> Dict[str, object]:
-    """Load and sanity-check a baseline document."""
-    doc = json.loads(path.read_text(encoding="utf-8"))
+    """Load and sanity-check a baseline document (``ValueError`` naming
+    ``path`` when it is corrupt or not a baseline)."""
+    try:
+        doc = json.loads(path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: corrupt baseline: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: baseline is not a JSON object")
     if doc.get("schema") != BASELINE_SCHEMA:
         raise ValueError(f"{path}: unsupported baseline schema {doc.get('schema')!r}")
     if not isinstance(doc.get("kernels"), dict):

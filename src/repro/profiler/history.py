@@ -5,9 +5,9 @@ summaries from ``cli serve --profile``, experiment sweeps from the
 runner's ``--profile`` — lands as one JSON line in
 ``results/profile_history.jsonl``.  Records are keyed by a config
 digest plus the git state at capture time, and each carries a
-``digest`` over its deterministic payload (the sharedmemo blake2b
-checksumming idiom), so two consecutive runs of the same config are
-required to append **bit-identical** payloads — the acceptance gate
+``digest`` (:func:`repro.integrity.digest`) over its deterministic
+payload, so two consecutive runs of the same config are required to
+append **bit-identical** payloads — the acceptance gate
 ``cli profile --smoke`` enforces.
 
 The schema is deliberately small and checked in both directions:
@@ -18,13 +18,13 @@ that does not validate.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import subprocess
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Dict, List, Optional
 
+from .. import integrity
 from ..obs import metrics as obs_metrics
 
 __all__ = [
@@ -58,7 +58,7 @@ def _canonical(obj: object) -> bytes:
 
 
 def payload_digest(record: Dict[str, object]) -> str:
-    """blake2b digest over the record's deterministic payload.
+    """Hex digest over the record's deterministic payload.
 
     Timestamp, git state and the digest itself are excluded, so runs of
     the same config on the same tree produce the same digest — that is
@@ -66,7 +66,7 @@ def payload_digest(record: Dict[str, object]) -> str:
     """
     payload = {k: v for k, v in record.items()
                if k not in ("timestamp", "git", "digest")}
-    return hashlib.blake2b(_canonical(payload), digest_size=16).hexdigest()
+    return integrity.digest(_canonical(payload)).hex()
 
 
 def git_state(repo: Optional[Path] = None) -> Dict[str, object]:
@@ -103,8 +103,7 @@ def make_record(kind: str, config: Dict[str, object],
         "timestamp": timestamp or datetime.now(timezone.utc).isoformat(),
         "git": git_state(),
         "config": config,
-        "config_digest": hashlib.blake2b(
-            _canonical(config), digest_size=16).hexdigest(),
+        "config_digest": integrity.digest(_canonical(config)).hex(),
     }
     record.update(payload)
     record["digest"] = payload_digest(record)

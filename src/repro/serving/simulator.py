@@ -34,7 +34,6 @@ Event kinds (staleness-checked where later events can supersede):
 
 from __future__ import annotations
 
-import hashlib
 import heapq
 from collections import deque
 from dataclasses import dataclass, field
@@ -42,7 +41,7 @@ from typing import Deque, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .. import envgates
+from .. import envgates, integrity
 from ..obs import metrics as obs_metrics
 from ..obs.tracing import span
 from .costmodel import VERIFY_OVERHEAD_US, ServingCostModel
@@ -151,13 +150,10 @@ class ServingResult:
     def ledger_digest(self) -> str:
         """Content digest of the request ledger — bit-identical across
         same-seed reruns (the determinism acceptance gate)."""
-        h = hashlib.blake2b(digest_size=16)
-        h.update(self.outcome.tobytes())
-        h.update(self.attempts.tobytes())
-        h.update(self.finish_us.tobytes())
-        h.update(self.workload.tokens.tobytes())
-        h.update(self.workload.tenant.tobytes())
-        return h.hexdigest()
+        return integrity.digest(
+            self.outcome.tobytes(), self.attempts.tobytes(),
+            self.finish_us.tobytes(), self.workload.tokens.tobytes(),
+            self.workload.tenant.tobytes()).hex()
 
 
 class _Sim:

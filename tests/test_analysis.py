@@ -1,7 +1,7 @@
 """Tests for the repro.analysis engine: corpus, suppressions, baseline, CLI.
 
 The injected-violation corpus under ``tests/analysis_corpus/`` has one
-minimal repo per rule; running *all* ten rules over a fixture must trip
+minimal repo per rule; running *all* rules over a fixture must trip
 exactly that fixture's rule.  The real tree must stay clean for every
 semantic pass, and the acceptance mutations (deleting a declared env
 gate, renaming a declared obs counter) must fail analysis with exit 1.
@@ -53,7 +53,7 @@ def _write(root: Path, rel: str, text: str) -> None:
 def test_registry_has_all_ten_rules():
     assert ALL_RULES == sorted([
         "parity-tests", "no-input-mutation", "seeded-rng",
-        "span-outside-memo", "plan-reference-twins",
+        "span-outside-memo", "plan-reference-twins", "integrity-primitive",
     ] + SEMANTIC_PASSES)
 
 
@@ -299,6 +299,24 @@ def test_context_resolves_cross_module_calls(tmp_path):
     call = next(n for n in ast.walk(fns["caller"].node)
                 if isinstance(n, ast.Call))
     assert ctx.resolve_call(info, call.func) == "repro.a:helper"
+
+
+@pytest.mark.parametrize("line,flagged", [
+    ("import hashlib", True),
+    ("from hashlib import blake2b", True),
+    ("import os\nos.replace('a', 'b')", True),
+    ("import os\nfn = os.rename", True),
+    ("from pathlib import Path\nPath('a.tmp').rename(Path('a'))", True),
+    ("'a,b'.replace(',', ' ')", False),
+    ("import dataclasses\ndataclasses.replace(obj, x=1)", False),
+    ("import dataclasses\ndataclasses.replace(obj, **kw)", False),
+])
+def test_integrity_primitive_shapes(tmp_path, line, flagged):
+    _write(tmp_path, "src/repro/mod.py", line + "\n")
+    _write(tmp_path, "src/repro/integrity.py", "import hashlib\nimport os\n"
+           "os.replace('a.tmp', 'a')\n")
+    findings = run_analysis(tmp_path, ["integrity-primitive"])
+    assert {f.path for f in findings} == ({"src/repro/mod.py"} if flagged else set())
 
 
 def test_run_analysis_is_deterministic():

@@ -351,6 +351,18 @@ class TestProfileCli:
         assert "diff history runs" in capsys.readouterr().out
         assert self._run(tmp_path, "--diff-runs", "5", "6") == 2
 
+    @pytest.mark.parametrize("corrupt,flags", [
+        ("baseline.json", ["--kernel", "spmm-octet", "--no-history", "--check"]),
+        ("history.jsonl", ["--kernel", "spmm-octet", "--diff-runs", "0", "1"]),
+        ("history.jsonl", ["--smoke"]),
+    ])
+    def test_corrupt_baseline_or_history_is_usage_error(self, tmp_path, capsys,
+                                                        corrupt, flags):
+        path = tmp_path / corrupt
+        path.write_text('{"schema": 1, "kern')  # torn mid-write
+        assert self._run(tmp_path, *flags) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}:")
+
 
 # --------------------------------------------------------------------- #
 # runner + serving threading
