@@ -54,7 +54,8 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
 
     sys.path.insert(0, str(REPO / "src"))
-    from repro.serving import get_scenario, report, simulate
+    from repro.serving import (get_scenario, overload_gates, report, simulate,
+                               worst_p99_slo_ratio)
 
     n = args.requests or (8_000 if args.smoke else 40_000)
     scenario = get_scenario("overload")
@@ -74,9 +75,7 @@ def main(argv=None) -> int:
     identical = rerun.ledger_digest() == result.ledger_digest()
     best_s = min(wall_s, rerun_s)
     req_per_s = n / best_s if best_s else 0.0
-    worst = max((row["p99_slo_ratio"] for row in doc["per_tenant"]
-                 if row["completed"]), default=0.0)
-    accounted = sum(doc["outcomes"].values()) - doc["outcomes"]["pending"]
+    worst = worst_p99_slo_ratio(doc)
 
     record = {
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
@@ -106,21 +105,10 @@ def main(argv=None) -> int:
 
         append_bench_record(Path(args.out), record)
 
-    if not identical:
-        print("ERROR: same-seed reruns disagree on the ledger digest",
-              file=sys.stderr)
-        return 1
-    if record["corrupt_served"]:
-        print(f"ERROR: {record['corrupt_served']} corrupted result(s) "
-              f"served to tenants", file=sys.stderr)
-        return 1
-    if accounted != n:
-        print(f"ERROR: {accounted}/{n} requests reached a typed outcome",
-              file=sys.stderr)
-        return 1
-    if worst > 1.0:
-        print(f"ERROR: admitted p99 reached {worst:.2f}x a tenant SLO "
-              f"under overload", file=sys.stderr)
+    failures = overload_gates(doc, rerun)
+    for failure in failures:
+        print(f"ERROR: {failure}", file=sys.stderr)
+    if failures:
         return 1
     if doc["goodput_fraction"] < GOODPUT_FLOOR:
         print(f"ERROR: goodput {doc['goodput_fraction']:.1%} below the "

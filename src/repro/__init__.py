@@ -33,7 +33,8 @@ from .kernels import (
     sparse_softmax,
     spmm,
 )
-from .perfmodel import LatencyEstimate, LatencyModel, profile_kernel
+from .perfmodel import LatencyEstimate, LatencyModel
+from .profiler import profile_kernel
 
 __version__ = "1.0.0"
 

@@ -51,7 +51,8 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Dict, List
+from pathlib import Path
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -67,12 +68,10 @@ from .kernels.sddmm_wmma import WmmaSddmmKernel
 from .kernels.spmm_fpu import FpuSpmmKernel
 from .kernels.spmm_octet import OctetSpmmKernel
 from .kernels.spmm_wmma import WmmaSpmmKernel
-from .perfmodel.profiler import format_table, guidelines_table, profile_kernel
+from .profiler import KernelProfile, profile_kernel
+from .profiler.report import format_table, guidelines_table
 
-__all__ = ["main", "build_parser", "build_sanitize_parser", "build_faults_parser",
-           "build_obs_parser", "build_memo_parser",
-           "build_merge_parser", "build_analyze_parser", "build_serve_parser",
-           "build_profile_parser", "bench_spmm", "bench_sddmm", "EXIT_CLEAN",
+__all__ = ["main", "build_parser", "bench_spmm", "bench_sddmm", "EXIT_CLEAN",
            "EXIT_FINDINGS", "EXIT_USAGE"]
 
 #: bench-table kernel names accepted by ``--kernel`` (per op)
@@ -91,6 +90,15 @@ def _usage_error(exc: object) -> int:
     return EXIT_USAGE
 
 
+def _smoke_failed(what: str, failures: List[str]) -> int:
+    """The one failed-smoke-gate report: a bullet per failed gate on
+    stderr, exit 1."""
+    print(f"\n{what} smoke FAILED:", file=sys.stderr)
+    for f in failures:
+        print(f"  - {f}", file=sys.stderr)
+    return EXIT_FINDINGS
+
+
 def _validate_names(names, valid, what: str) -> None:
     """Reject unknown names listing the valid choices (the ``run_all
     --only`` convention)."""
@@ -99,59 +107,10 @@ def _validate_names(names, valid, what: str) -> None:
         raise ValueError(f"unknown {what}: {unknown}; valid choices: {sorted(valid)}")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """Argument parser for ``repro-bench``."""
-    ap = argparse.ArgumentParser(
-        prog="repro-bench",
-        description="Compare the paper's kernels on one sparse matrix (simulated V100)",
-    )
-    src = ap.add_argument_group("matrix source")
-    src.add_argument("--smtx", type=str, default="", help="DLMC .smtx topology file")
-    src.add_argument("--rows", type=int, default=512, help="synthetic topology rows")
-    src.add_argument("--cols", type=int, default=1024, help="synthetic topology cols")
-    src.add_argument("--sparsity", type=float, default=0.9, help="synthetic sparsity")
-    src.add_argument("--seed", type=int, default=0)
-
-    ap.add_argument("--op", choices=("spmm", "sddmm"), default="spmm")
-    ap.add_argument("-V", "--vector-length", type=int, default=4, choices=(1, 2, 4, 8))
-    ap.add_argument("-N", type=int, default=256, help="dense columns (SpMM)")
-    ap.add_argument("-K", type=int, default=256, help="inner dimension (SDDMM)")
-    ap.add_argument("--profile", action="store_true",
-                    help="also print the five-guideline profile table")
-    ap.add_argument("--kernel", action="append", default=None, metavar="NAME",
-                    help="restrict the comparison to these kernels (repeatable); "
-                         f"spmm: {SPMM_BENCH_KERNELS}, sddmm: {SDDMM_BENCH_KERNELS}")
-    return ap
-
-
-def build_sanitize_parser() -> argparse.ArgumentParser:
-    """Argument parser for ``repro-bench sanitize``."""
-    from .sanitizer import KERNEL_CASES, SUITES
-
-    ap = argparse.ArgumentParser(
-        prog="repro-bench sanitize",
-        description="Run the kernel sanitizer (memcheck/racecheck/synccheck/"
-                    "ownership/statcheck) over kernel cases x problem suites",
-    )
-    ap.add_argument("--kernel", action="append", default=None, metavar="NAME",
-                    help="kernel case(s) to sanitize (repeatable); "
-                         f"choices: {sorted(KERNEL_CASES)}")
-    ap.add_argument("--suite", default="default",
-                    help=f"problem suite; choices: {sorted(SUITES)}")
-    ap.add_argument("--all", action="store_true",
-                    help="every kernel case on the 'full' suite")
-    ap.add_argument("--smoke", action="store_true",
-                    help="every kernel case on the 'smoke' suite (CI)")
-    ap.add_argument("--verbose", action="store_true",
-                    help="print per-checker work counters")
-    return ap
-
-
-def _sanitize_main(argv) -> int:
+def _sanitize_main(args) -> int:
     """``sanitize`` subcommand: exit 0 on a clean sweep, 1 on findings."""
     from .sanitizer import format_reports, sanitize
 
-    args = build_sanitize_parser().parse_args(argv)
     suite = args.suite
     if args.all:
         suite = "full"
@@ -165,32 +124,11 @@ def _sanitize_main(argv) -> int:
     return EXIT_CLEAN if all(r.ok for r in reports) else EXIT_FINDINGS
 
 
-def build_faults_parser() -> argparse.ArgumentParser:
-    """Argument parser for ``repro-bench faults``."""
-    from .faults.campaign import CAMPAIGNS
-
-    ap = argparse.ArgumentParser(
-        prog="repro-bench faults",
-        description="Run a seeded SDC fault-injection campaign and score the "
-                    "sanitizer's detection coverage against the documented floors",
-    )
-    ap.add_argument("--campaign", default="default",
-                    help=f"campaign to run; choices: {sorted(CAMPAIGNS)}")
-    ap.add_argument("--smoke", action="store_true",
-                    help="the guaranteed-detection campaign (CI; floor 100%%)")
-    ap.add_argument("--seed", type=int, default=1234,
-                    help="campaign seed (same seed => identical findings)")
-    ap.add_argument("-v", "--verbose", action="store_true",
-                    help="print every injection record")
-    return ap
-
-
-def _faults_main(argv) -> int:
+def _faults_main(args) -> int:
     """``faults`` subcommand: exit 0 when every checker meets its
     coverage floor, 1 otherwise, 2 on unknown campaign names."""
     from .faults.campaign import run_campaign
 
-    args = build_faults_parser().parse_args(argv)
     name = "smoke" if args.smoke else args.campaign
     try:
         result = run_campaign(name, seed=args.seed)
@@ -200,47 +138,16 @@ def _faults_main(argv) -> int:
     return EXIT_CLEAN if result.passed else EXIT_FINDINGS
 
 
-def build_obs_parser() -> argparse.ArgumentParser:
-    """Argument parser for ``repro-bench obs``."""
-    from .experiments.runner import EXPERIMENTS
-
-    ap = argparse.ArgumentParser(
-        prog="repro-bench obs",
-        description="Run experiments under the observability layer: structured "
-                    "spans, a metrics snapshot, and a Chrome trace-event "
-                    "timeline (see docs/OBSERVABILITY.md)",
-    )
-    ap.add_argument("--only", type=str, default="",
-                    help=f"comma-separated experiment names; choices: {sorted(EXPERIMENTS)}")
-    ap.add_argument("--full", action="store_true", help="use the full DLMC-style suite")
-    ap.add_argument("--jobs", type=int, default=1,
-                    help="fan the experiments out over N worker processes "
-                         "(worker spans are stitched into one timeline)")
-    ap.add_argument("--trace-out", type=str, default="",
-                    help="write the Chrome trace-event JSON here (a sibling "
-                         "<stem>.metrics.json carries the metrics snapshot)")
-    ap.add_argument("--top", type=int, default=10,
-                    help="rows in the slowest-spans table (0 disables it)")
-    ap.add_argument("--tree", action="store_true",
-                    help="print the nested span tree after the run")
-    ap.add_argument("--smoke", action="store_true",
-                    help="CI gate: one fast experiment, then validate the Chrome "
-                         "trace schema and require >=95%% span coverage of the "
-                         "measured wall-clock")
-    return ap
-
-
-def _obs_main(argv) -> int:
+def _obs_main(args) -> int:
     """``obs`` subcommand: exit 0 on success, 1 when the smoke gates
     fail or the sweep degrades, 2 on bad arguments."""
     import time as _time
-    from pathlib import Path
 
     from .experiments.runner import SweepFailure, run_all
+    from .obs import export_trace
     from .obs import metrics as obs_metrics
     from .obs import tracing as obs_tracing
 
-    args = build_obs_parser().parse_args(argv)
     only = [s.strip() for s in args.only.split(",") if s.strip()] or None
     if args.smoke and only is None:
         only = ["table1"]  # fastest registered experiment
@@ -301,59 +208,27 @@ def _obs_main(argv) -> int:
           f"timeline coverage: {100.0 * coverage:.1f}%")
 
     if args.trace_out:
-        trace_path = Path(args.trace_out)
-        obs_tracing.export_chrome_trace(trace_path, spans)
-        metrics_path = trace_path.with_name(trace_path.stem + ".metrics.json")
-        obs_metrics.write_json(metrics_path)
-        print(f"trace written to {trace_path} (load in Perfetto / chrome://tracing); "
-              f"metrics in {metrics_path}")
+        export_trace(args.trace_out, spans)
 
     if args.smoke:
-        problems = obs_tracing.validate_chrome_trace(doc)
-        if problems:
-            print("chrome trace schema FAILED:", file=sys.stderr)
-            for p in problems:
-                print(f"  - {p}", file=sys.stderr)
-            return 1
+        failures = [f"chrome trace schema: {p}"
+                    for p in obs_tracing.validate_chrome_trace(doc)]
         if coverage < 0.95:
-            print(f"span coverage gate FAILED: {100.0 * coverage:.1f}% < 95% "
-                  f"of measured wall-clock", file=sys.stderr)
-            return 1
+            failures.append(f"span coverage: {100.0 * coverage:.1f}% < 95% "
+                            f"of measured wall-clock")
         if not snap["memo"] or not snap["cache"]:
-            print("metrics snapshot gate FAILED: memo/cache tables missing",
-                  file=sys.stderr)
-            return 1
+            failures.append("metrics snapshot: memo/cache tables missing")
+        if failures:
+            return _smoke_failed("obs", failures)
         print("obs smoke: chrome schema OK, coverage OK, metrics tables OK")
-    return 1 if degraded else 0
+    return EXIT_FINDINGS if degraded else EXIT_CLEAN
 
 
-def build_memo_parser() -> argparse.ArgumentParser:
-    """Argument parser for ``repro-bench memo``."""
-    ap = argparse.ArgumentParser(
-        prog="repro-bench memo",
-        description="Inspect, verify, or compact the shared cross-process "
-                    "memo store (repro.perfmodel.sharedmemo)",
-    )
-    ap.add_argument("--dir", type=str, default="",
-                    help="store directory (default: REPRO_MEMO_SHARED_DIR "
-                         "or .repro-memo)")
-    ap.add_argument("--verify", action="store_true",
-                    help="re-read and re-hash every live entry; exit 1 when "
-                         "any is corrupt")
-    ap.add_argument("--compact", action="store_true",
-                    help="rewrite the live, checksum-valid entries into one "
-                         "fresh segment and delete the superseded files (the "
-                         "only reclamation path — run while no sweep writes "
-                         "the store)")
-    return ap
-
-
-def _memo_main(argv) -> int:
+def _memo_main(args) -> int:
     """``memo`` subcommand: exit 0, or 1 when ``--verify`` finds
     corruption."""
     from .perfmodel import sharedmemo
 
-    args = build_memo_parser().parse_args(argv)
     if args.dir:
         sharedmemo.set_dir(args.dir)
     rc = 0
@@ -378,86 +253,33 @@ def _memo_main(argv) -> int:
     return rc
 
 
-def build_merge_parser() -> argparse.ArgumentParser:
-    """Argument parser for ``repro-bench merge``."""
-    ap = argparse.ArgumentParser(
-        prog="repro-bench merge",
-        description="Combine N --shard sweep output directories into one "
-                    "verified full-sweep result (exit 2 on mismatched shard "
-                    "configurations)",
-    )
-    ap.add_argument("shards", nargs="+", metavar="SHARD_DIR",
-                    help="output directories written by --shard I/N runs")
-    ap.add_argument("--out", type=str, required=True,
-                    help="directory for the merged sweep result")
-    return ap
+def _merge_main(args) -> int:
+    """``merge`` subcommand: combine the shard outputs, then re-verify
+    every merged artifact.  Exit 0 merged and verified, 1 a merged
+    artifact failed verification (a bug, not an input problem), 2 the
+    shard outputs cannot be merged (mismatched configs, missing or
+    corrupt shards)."""
+    from .experiments.sharding import MergeError, merge_shards, verify_manifest
+
+    out = Path(args.out)
+    try:
+        summary = merge_shards(args.shards, out)
+    except MergeError as exc:
+        print(f"merge refused: {exc}")
+        return EXIT_USAGE
+    checks = verify_manifest(out)
+    print(f"merged {summary['shards']} shards -> {summary['out']} "
+          f"({len(summary['experiments'])} experiments)")
+    for name, ok in checks.items():
+        print(f"  {name}: {'verified' if ok else 'CHECKSUM MISMATCH'}")
+    return EXIT_CLEAN if checks and all(checks.values()) else EXIT_FINDINGS
 
 
-def _merge_main(argv) -> int:
-    """``merge`` subcommand: delegates to the runner's merge driver
-    (0 merged+verified, 1 verification bug, 2 unmergeable inputs)."""
-    from pathlib import Path
-
-    from .experiments.runner import _merge_main as _runner_merge
-
-    args = build_merge_parser().parse_args(argv)
-    return _runner_merge(args.shards, Path(args.out))
-
-
-def build_serve_parser() -> argparse.ArgumentParser:
-    """Argument parser for ``repro-bench serve``."""
-    from .serving import SCENARIOS
-
-    ap = argparse.ArgumentParser(
-        prog="repro-bench serve",
-        description="Run the deterministic multi-tenant serving simulator "
-                    "(admission control, hedged retries, graceful "
-                    "degradation) over a named scenario; see docs/SERVING.md",
-    )
-    ap.add_argument("--scenario", default="",
-                    help="scenario to simulate (default: steady, or overload "
-                         f"under --smoke); choices: {sorted(SCENARIOS)}")
-    ap.add_argument("--requests", type=int, default=8000,
-                    help="requests to generate (default 8000)")
-    ap.add_argument("--seed", type=int, default=0,
-                    help="workload/fault seed (same seed => bit-identical "
-                         "ledger digest)")
-    ap.add_argument("--workers", type=int, default=0,
-                    help="override the scenario's worker count (0 keeps it)")
-    ap.add_argument("--load", type=float, default=0.0,
-                    help="override the scenario's offered-load multiple "
-                         "(0 keeps it)")
-    ap.add_argument("--trace-out", type=str, default="",
-                    help="write a Chrome trace-event timeline here (worker "
-                         "lanes = batch executions, tenant lanes = request "
-                         "lifecycles)")
-    ap.add_argument("--sweep", action="store_true",
-                    help="also print the goodput-vs-offered-load table "
-                         "(re-simulates the scenario at each load multiple)")
-    ap.add_argument("--smoke", action="store_true",
-                    help="CI gate on the overload scenario: bit-identical "
-                         "digest across a re-run, zero corrupt-served, "
-                         "admitted p99 within every tenant SLO, and complete "
-                         "typed outcome accounting")
-    ap.add_argument("--profile", action="store_true",
-                    help="append a per-tenant SLO-attainment + "
-                         "degradation-ladder occupancy record to the "
-                         "profiler's run-history store")
-    ap.add_argument("--history", type=str,
-                    default="results/profile_history.jsonl",
-                    help="history store --profile appends to (default "
-                         "results/profile_history.jsonl)")
-    ap.add_argument("-v", "--verbose", action="store_true",
-                    help="also print the full JSON report document")
-    return ap
-
-
-def _serve_main(argv) -> int:
+def _serve_main(args) -> int:
     """``serve`` subcommand: exit 0 on a clean run, 1 when the smoke
     gates fail, 2 on unknown scenarios / bad arguments."""
     import dataclasses
     import json as _json
-    from pathlib import Path
 
     from .obs import tracing as obs_tracing
     from .serving import (
@@ -465,12 +287,13 @@ def _serve_main(argv) -> int:
         format_sweep,
         get_scenario,
         load_sweep,
+        overload_gates,
         report,
         simulate,
         timeline_spans,
+        worst_p99_slo_ratio,
     )
 
-    args = build_serve_parser().parse_args(argv)
     name = args.scenario or ("overload" if args.smoke else "steady")
     try:
         scenario = get_scenario(name)
@@ -519,98 +342,23 @@ def _serve_main(argv) -> int:
               f"to {args.history}")
 
     if args.smoke:
-        failures = []
-        rerun = simulate(scenario, args.requests, args.seed)
-        if rerun.ledger_digest() != result.ledger_digest():
-            failures.append("determinism: same-seed rerun produced a "
-                            "different ledger digest")
-        if doc["outcomes"]["corrupt-served"]:
-            failures.append(f"corruption containment: "
-                            f"{doc['outcomes']['corrupt-served']} corrupted "
-                            f"result(s) served to tenants")
-        worst = max((row["p99_slo_ratio"] for row in doc["per_tenant"]
-                     if row["completed"]), default=0.0)
-        if worst > 1.0:
-            failures.append(f"SLO: admitted p99 reached {worst:.2f}x the "
-                            f"tenant SLO (gate 1.0x)")
-        accounted = sum(doc["outcomes"].values())
-        if accounted != args.requests or doc["outcomes"]["pending"]:
-            failures.append(f"accounting: {accounted}/{args.requests} "
-                            f"requests typed, "
-                            f"{doc['outcomes']['pending']} pending")
+        failures = overload_gates(doc, simulate(scenario, args.requests, args.seed))
         if failures:
-            print("\nserve smoke FAILED:", file=sys.stderr)
-            for f in failures:
-                print(f"  - {f}", file=sys.stderr)
-            return EXIT_FINDINGS
+            return _smoke_failed("serve", failures)
         print(f"\nserve smoke: determinism OK, corruption containment OK, "
-              f"SLO OK (worst p99 {worst:.2f}x), accounting OK")
+              f"SLO OK (worst p99 {worst_p99_slo_ratio(doc):.2f}x), accounting OK")
     return EXIT_CLEAN
 
 
-def build_profile_parser() -> argparse.ArgumentParser:
-    """Argument parser for ``repro-bench profile``."""
-    from .profiler import CONFIGS, DEFAULT_CONFIG, KERNEL_NAMES
-
-    ap = argparse.ArgumentParser(
-        prog="repro-bench profile",
-        description="Nsight-Compute-analog profiler: derive per-kernel "
-                    "counters, roofline classification and ranked bottleneck "
-                    "attribution for the registered kernels; see "
-                    "docs/PROFILER.md",
-    )
-    ap.add_argument("--config", default=DEFAULT_CONFIG,
-                    help=f"named profile config (default {DEFAULT_CONFIG}); "
-                         f"choices: {sorted(CONFIGS)}")
-    ap.add_argument("--kernel", action="append", default=None,
-                    help="restrict to this kernel (repeatable); choices: "
-                         f"{sorted(KERNEL_NAMES)}")
-    ap.add_argument("--top", type=int, default=3,
-                    help="bottlenecks to attribute per kernel (default 3)")
-    ap.add_argument("--json", type=str, default="",
-                    help="also write the full profile + roofline document "
-                         "here as JSON")
-    ap.add_argument("--history", type=str,
-                    default="results/profile_history.jsonl",
-                    help="append-only run-history store (default "
-                         "results/profile_history.jsonl)")
-    ap.add_argument("--no-history", action="store_true",
-                    help="do not append this run to the history store")
-    ap.add_argument("--baseline", type=str,
-                    default="tools/profile_baseline.json",
-                    help="gated-counter baseline (default "
-                         "tools/profile_baseline.json)")
-    ap.add_argument("--check", action="store_true",
-                    help="fail (exit 1) when any kernel regresses past the "
-                         "baseline tolerance on a gated counter")
-    ap.add_argument("--update-baseline", action="store_true",
-                    help="rewrite the baseline from this run's counters")
-    ap.add_argument("--diff", nargs=2, metavar=("A", "B"), default=None,
-                    help="diff two kernels of this config side by side")
-    ap.add_argument("--diff-runs", nargs=2, type=int, metavar=("I", "J"),
-                    default=None,
-                    help="diff two kernel-profile history records by index "
-                         "(negative indexes count from the latest)")
-    ap.add_argument("--smoke", action="store_true",
-                    help="CI gate: all kernels classified, roofline "
-                         "agreement on the gated configs, bit-stable "
-                         "history digests, baseline check when present")
-    ap.add_argument("-v", "--verbose", action="store_true",
-                    help="also print ranked bottleneck attribution per kernel")
-    return ap
-
-
-def _profile_main(argv) -> int:
+def _profile_main(args) -> int:
     """``profile`` subcommand: exit 0 clean, 1 on failed gates or
     regressions, 2 on unknown configs/kernels."""
     import json as _json
-    from pathlib import Path
 
     from . import profiler
     from .profiler import CONFIGS, roofline_agreement, roofline_doc
     from .profiler.report import bottleneck_lines, roofline_summary
 
-    args = build_profile_parser().parse_args(argv)
     try:
         if args.config not in CONFIGS:
             raise ValueError(f"unknown config {args.config!r}; valid "
@@ -744,10 +492,7 @@ def _profile_main(argv) -> int:
                 failures.append("history: consecutive same-config runs "
                                 "produced different digests (bit-stability)")
         if failures:
-            print("\nprofile smoke FAILED:", file=sys.stderr)
-            for f in failures:
-                print(f"  - {f}", file=sys.stderr)
-            return EXIT_FINDINGS
+            return _smoke_failed("profile", failures)
         print(f"\nprofile smoke: {len(profiles)} kernels classified, "
               f"roofline agreement OK, history bit-stable")
     return EXIT_FINDINGS if failures else EXIT_CLEAN
@@ -760,7 +505,8 @@ def _topology(args):
     return generate_topology((args.rows, args.cols), args.sparsity, rng)
 
 
-def bench_spmm(csr, v: int, n: int, profile: bool = False, only=None) -> List[Dict[str, object]]:
+def bench_spmm(csr, v: int, n: int, only=None) -> Tuple[List[Dict[str, object]],
+                                                          List[KernelProfile]]:
     """SpMM comparison rows + guideline reports for one topology.
 
     ``only`` restricts the table to the named kernels (see
@@ -803,12 +549,11 @@ def bench_spmm(csr, v: int, n: int, profile: bool = False, only=None) -> List[Di
         rep = profile_kernel(st, bk._model)
         rep.name = "blocked-ELL"
         reports.append(rep)
-    if profile:
-        rows.append({"kernel": "", "time_us": "", "speedup": ""})
     return rows, reports
 
 
-def bench_sddmm(csr, v: int, k: int, profile: bool = False, only=None):
+def bench_sddmm(csr, v: int, k: int, only=None) -> Tuple[List[Dict[str, object]],
+                                                          List[KernelProfile]]:
     """SDDMM comparison rows + guideline reports for one topology.
 
     ``only`` restricts the table to the named kernels (see
@@ -844,44 +589,9 @@ def bench_sddmm(csr, v: int, k: int, profile: bool = False, only=None):
     return rows, reports
 
 
-def build_analyze_parser() -> argparse.ArgumentParser:
-    """Argument parser for ``repro-bench analyze``."""
-    from pathlib import Path
-
-    from .analysis import RULES
-
-    ap = argparse.ArgumentParser(
-        prog="repro-bench analyze",
-        description="Run the whole-repo static analysis (contract lints + "
-                    "semantic passes) with baseline enforcement; see "
-                    "docs/ANALYSIS.md",
-    )
-    ap.add_argument("--rule", action="append", default=None, metavar="ID",
-                    help="run only this rule (repeatable); "
-                         f"choices: {sorted(RULES)}")
-    ap.add_argument("--repo", type=Path,
-                    default=Path(__file__).resolve().parents[2],
-                    help="repository root (default: this checkout)")
-    ap.add_argument("--baseline", type=Path, default=None,
-                    help="baseline file (default: <repo>/tools/"
-                         "analysis_baseline.json)")
-    ap.add_argument("--update-baseline", action="store_true",
-                    help="rewrite the baseline to exactly the current "
-                         "findings and exit 0")
-    ap.add_argument("--json", type=str, default="", metavar="PATH",
-                    help="write the findings as JSON here")
-    ap.add_argument("--sarif", type=str, default="", metavar="PATH",
-                    help="write a SARIF 2.1.0 report here")
-    ap.add_argument("--list-rules", action="store_true",
-                    help="print the rule catalogue and exit")
-    return ap
-
-
-def _analyze_main(argv) -> int:
+def _analyze_main(args) -> int:
     """``analyze`` subcommand: exit 0 clean (new findings none), 1 on new
     findings, 2 on bad invocation."""
-    from pathlib import Path
-
     from .analysis import (
         RULES,
         diff_baseline,
@@ -892,7 +602,6 @@ def _analyze_main(argv) -> int:
         write_baseline,
     )
 
-    args = build_analyze_parser().parse_args(argv)
     if args.list_rules:
         width = max(len(rid) for rid in RULES)
         for rid in sorted(RULES):
@@ -939,57 +648,263 @@ def _analyze_main(argv) -> int:
     return EXIT_FINDINGS if diff.new else EXIT_CLEAN
 
 
-def main(argv=None) -> int:
-    """``repro-bench`` entry point (``sanitize`` dispatches the sanitizer)."""
-    if argv is None:
-        argv = sys.argv[1:]
-    if argv and argv[0] == "analyze":
-        return _analyze_main(argv[1:])
-    if argv and argv[0] == "sanitize":
-        return _sanitize_main(argv[1:])
-    if argv and argv[0] == "faults":
-        return _faults_main(argv[1:])
-    if argv and argv[0] == "obs":
-        return _obs_main(argv[1:])
-    if argv and argv[0] == "memo":
-        return _memo_main(argv[1:])
-    if argv and argv[0] == "merge":
-        return _merge_main(argv[1:])
-    if argv and argv[0] == "serve":
-        return _serve_main(argv[1:])
-    if argv and argv[0] == "profile":
-        return _profile_main(argv[1:])
-    args = build_parser().parse_args(argv)
+def _bench_main(args) -> int:
+    """The bare ``repro-bench`` command: the per-matrix kernel table."""
     try:
         csr = _topology(args)
     except (OSError, ValueError) as exc:
         print(f"error reading matrix: {exc}", file=sys.stderr)
-        return 2
+        return EXIT_USAGE
     v = args.vector_length
-    if csr.shape[0] * v % v:
-        print("rows must divide by V", file=sys.stderr)
-        return 2
     print(
         f"matrix: {csr.shape[0]}x{csr.shape[1]} topology, sparsity {csr.sparsity:.1%}, "
         f"V={v} -> logical {csr.shape[0] * v}x{csr.shape[1]}"
     )
     try:
         if args.op == "spmm":
-            rows, reports = bench_spmm(csr, v, args.N, args.profile, only=args.kernel)
+            rows, reports = bench_spmm(csr, v, args.N, only=args.kernel)
         else:
-            rows, reports = bench_sddmm(csr, v, args.K, args.profile, only=args.kernel)
+            rows, reports = bench_sddmm(csr, v, args.K, only=args.kernel)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _usage_error(exc)
     if args.op == "spmm":
         print(f"\nSpMM, N={args.N} (times on the simulated V100):\n")
     else:
         print(f"\nSDDMM, K={args.K} (times on the simulated V100):\n")
-    print(format_table([r for r in rows if r["kernel"]]))
+    print(format_table(rows))
     if args.profile:
         print("\nfive-guideline profile (Table 2/3 layout):\n")
         print(format_table(guidelines_table(reports)))
-    return 0
+    return EXIT_CLEAN
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The one ``repro-bench`` command table: the bench options at top
+    level, one subparser per subcommand, each bound to its handler
+    through ``set_defaults(run=...)``."""
+    from .analysis import RULES
+    from .experiments.runner import EXPERIMENTS
+    from .faults.campaign import CAMPAIGNS
+    from .profiler import CONFIGS, DEFAULT_CONFIG, KERNEL_NAMES
+    from .sanitizer import KERNEL_CASES, SUITES
+    from .serving import SCENARIOS
+
+    ap = argparse.ArgumentParser(
+        prog="repro-bench",
+        description="Compare the paper's kernels on one sparse matrix (simulated V100)",
+    )
+    ap.set_defaults(run=_bench_main)
+    src = ap.add_argument_group("matrix source")
+    src.add_argument("--smtx", type=str, default="", help="DLMC .smtx topology file")
+    src.add_argument("--rows", type=int, default=512, help="synthetic topology rows")
+    src.add_argument("--cols", type=int, default=1024, help="synthetic topology cols")
+    src.add_argument("--sparsity", type=float, default=0.9, help="synthetic sparsity")
+    src.add_argument("--seed", type=int, default=0)
+
+    ap.add_argument("--op", choices=("spmm", "sddmm"), default="spmm")
+    ap.add_argument("-V", "--vector-length", type=int, default=4, choices=(1, 2, 4, 8))
+    ap.add_argument("-N", type=int, default=256, help="dense columns (SpMM)")
+    ap.add_argument("-K", type=int, default=256, help="inner dimension (SDDMM)")
+    ap.add_argument("--profile", action="store_true",
+                    help="also print the five-guideline profile table")
+    ap.add_argument("--kernel", action="append", default=None, metavar="NAME",
+                    help="restrict the comparison to these kernels (repeatable); "
+                         f"spmm: {SPMM_BENCH_KERNELS}, sddmm: {SDDMM_BENCH_KERNELS}")
+
+    sub = ap.add_subparsers(title="subcommands", metavar="COMMAND")
+
+    def command(name: str, run, description: str) -> argparse.ArgumentParser:
+        sp = sub.add_parser(name, help=description.split(";")[0],
+                            description=description)
+        sp.set_defaults(run=run)
+        return sp
+
+    sp = command("analyze", _analyze_main,
+                 "Run the whole-repo static analysis (contract lints + "
+                 "semantic passes) with baseline enforcement; see "
+                 "docs/ANALYSIS.md")
+    sp.add_argument("--rule", action="append", default=None, metavar="ID",
+                    help="run only this rule (repeatable); "
+                         f"choices: {sorted(RULES)}")
+    sp.add_argument("--repo", type=Path,
+                    default=Path(__file__).resolve().parents[2],
+                    help="repository root (default: this checkout)")
+    sp.add_argument("--baseline", type=Path, default=None,
+                    help="baseline file (default: <repo>/tools/"
+                         "analysis_baseline.json)")
+    sp.add_argument("--update-baseline", action="store_true",
+                    help="rewrite the baseline to exactly the current "
+                         "findings and exit 0")
+    sp.add_argument("--json", type=str, default="", metavar="PATH",
+                    help="write the findings as JSON here")
+    sp.add_argument("--sarif", type=str, default="", metavar="PATH",
+                    help="write a SARIF 2.1.0 report here")
+    sp.add_argument("--list-rules", action="store_true",
+                    help="print the rule catalogue and exit")
+
+    sp = command("sanitize", _sanitize_main,
+                 "Run the kernel sanitizer (memcheck/racecheck/synccheck/"
+                 "ownership/statcheck) over kernel cases x problem suites")
+    sp.add_argument("--kernel", action="append", default=None, metavar="NAME",
+                    help="kernel case(s) to sanitize (repeatable); "
+                         f"choices: {sorted(KERNEL_CASES)}")
+    sp.add_argument("--suite", default="default",
+                    help=f"problem suite; choices: {sorted(SUITES)}")
+    sp.add_argument("--all", action="store_true",
+                    help="every kernel case on the 'full' suite")
+    sp.add_argument("--smoke", action="store_true",
+                    help="every kernel case on the 'smoke' suite (CI)")
+    sp.add_argument("--verbose", action="store_true",
+                    help="print per-checker work counters")
+
+    sp = command("faults", _faults_main,
+                 "Run a seeded SDC fault-injection campaign and score the "
+                 "sanitizer's detection coverage against the documented floors")
+    sp.add_argument("--campaign", default="default",
+                    help=f"campaign to run; choices: {sorted(CAMPAIGNS)}")
+    sp.add_argument("--smoke", action="store_true",
+                    help="the guaranteed-detection campaign (CI; floor 100%%)")
+    sp.add_argument("--seed", type=int, default=1234,
+                    help="campaign seed (same seed => identical findings)")
+    sp.add_argument("-v", "--verbose", action="store_true",
+                    help="print every injection record")
+
+    sp = command("obs", _obs_main,
+                 "Run experiments under the observability layer: structured "
+                 "spans, a metrics snapshot, and a Chrome trace-event "
+                 "timeline; see docs/OBSERVABILITY.md")
+    sp.add_argument("--only", type=str, default="",
+                    help=f"comma-separated experiment names; choices: {sorted(EXPERIMENTS)}")
+    sp.add_argument("--full", action="store_true", help="use the full DLMC-style suite")
+    sp.add_argument("--jobs", type=int, default=1,
+                    help="fan the experiments out over N worker processes "
+                         "(worker spans are stitched into one timeline)")
+    sp.add_argument("--trace-out", type=str, default="",
+                    help="write the Chrome trace-event JSON here (a sibling "
+                         "<stem>.metrics.json carries the metrics snapshot)")
+    sp.add_argument("--top", type=int, default=10,
+                    help="rows in the slowest-spans table (0 disables it)")
+    sp.add_argument("--tree", action="store_true",
+                    help="print the nested span tree after the run")
+    sp.add_argument("--smoke", action="store_true",
+                    help="CI gate: one fast experiment, then validate the Chrome "
+                         "trace schema and require >=95%% span coverage of the "
+                         "measured wall-clock")
+
+    sp = command("memo", _memo_main,
+                 "Inspect, verify, or compact the shared cross-process "
+                 "memo store (repro.perfmodel.sharedmemo)")
+    sp.add_argument("--dir", type=str, default="",
+                    help="store directory (default: REPRO_MEMO_SHARED_DIR "
+                         "or .repro-memo)")
+    sp.add_argument("--verify", action="store_true",
+                    help="re-read and re-hash every live entry; exit 1 when "
+                         "any is corrupt")
+    sp.add_argument("--compact", action="store_true",
+                    help="rewrite the live, checksum-valid entries into one "
+                         "fresh segment and delete the superseded files (the "
+                         "only reclamation path — run while no sweep writes "
+                         "the store)")
+
+    sp = command("merge", _merge_main,
+                 "Combine N --shard sweep output directories into one "
+                 "verified full-sweep result; exit 2 on mismatched shard "
+                 "configurations")
+    sp.add_argument("shards", nargs="+", metavar="SHARD_DIR",
+                    help="output directories written by --shard I/N runs")
+    sp.add_argument("--out", type=str, required=True,
+                    help="directory for the merged sweep result")
+
+    sp = command("serve", _serve_main,
+                 "Run the deterministic multi-tenant serving simulator "
+                 "(admission control, hedged retries, graceful "
+                 "degradation) over a named scenario; see docs/SERVING.md")
+    sp.add_argument("--scenario", default="",
+                    help="scenario to simulate (default: steady, or overload "
+                         f"under --smoke); choices: {sorted(SCENARIOS)}")
+    sp.add_argument("--requests", type=int, default=8000,
+                    help="requests to generate (default 8000)")
+    sp.add_argument("--seed", type=int, default=0,
+                    help="workload/fault seed (same seed => bit-identical "
+                         "ledger digest)")
+    sp.add_argument("--workers", type=int, default=0,
+                    help="override the scenario's worker count (0 keeps it)")
+    sp.add_argument("--load", type=float, default=0.0,
+                    help="override the scenario's offered-load multiple "
+                         "(0 keeps it)")
+    sp.add_argument("--trace-out", type=str, default="",
+                    help="write a Chrome trace-event timeline here (worker "
+                         "lanes = batch executions, tenant lanes = request "
+                         "lifecycles)")
+    sp.add_argument("--sweep", action="store_true",
+                    help="also print the goodput-vs-offered-load table "
+                         "(re-simulates the scenario at each load multiple)")
+    sp.add_argument("--smoke", action="store_true",
+                    help="CI gate on the overload scenario: bit-identical "
+                         "digest across a re-run, zero corrupt-served, "
+                         "admitted p99 within every tenant SLO, and complete "
+                         "typed outcome accounting")
+    sp.add_argument("--profile", action="store_true",
+                    help="append a per-tenant SLO-attainment + "
+                         "degradation-ladder occupancy record to the "
+                         "profiler's run-history store")
+    sp.add_argument("--history", type=str,
+                    default="results/profile_history.jsonl",
+                    help="history store --profile appends to (default "
+                         "results/profile_history.jsonl)")
+    sp.add_argument("-v", "--verbose", action="store_true",
+                    help="also print the full JSON report document")
+
+    sp = command("profile", _profile_main,
+                 "Nsight-Compute-analog profiler: derive per-kernel "
+                 "counters, roofline classification and ranked bottleneck "
+                 "attribution for the registered kernels; see "
+                 "docs/PROFILER.md")
+    sp.add_argument("--config", default=DEFAULT_CONFIG,
+                    help=f"named profile config (default {DEFAULT_CONFIG}); "
+                         f"choices: {sorted(CONFIGS)}")
+    sp.add_argument("--kernel", action="append", default=None,
+                    help="restrict to this kernel (repeatable); choices: "
+                         f"{sorted(KERNEL_NAMES)}")
+    sp.add_argument("--top", type=int, default=3,
+                    help="bottlenecks to attribute per kernel (default 3)")
+    sp.add_argument("--json", type=str, default="",
+                    help="also write the full profile + roofline document "
+                         "here as JSON")
+    sp.add_argument("--history", type=str,
+                    default="results/profile_history.jsonl",
+                    help="append-only run-history store (default "
+                         "results/profile_history.jsonl)")
+    sp.add_argument("--no-history", action="store_true",
+                    help="do not append this run to the history store")
+    sp.add_argument("--baseline", type=str,
+                    default="tools/profile_baseline.json",
+                    help="gated-counter baseline (default "
+                         "tools/profile_baseline.json)")
+    sp.add_argument("--check", action="store_true",
+                    help="fail (exit 1) when any kernel regresses past the "
+                         "baseline tolerance on a gated counter")
+    sp.add_argument("--update-baseline", action="store_true",
+                    help="rewrite the baseline from this run's counters")
+    sp.add_argument("--diff", nargs=2, metavar=("A", "B"), default=None,
+                    help="diff two kernels of this config side by side")
+    sp.add_argument("--diff-runs", nargs=2, type=int, metavar=("I", "J"),
+                    default=None,
+                    help="diff two kernel-profile history records by index "
+                         "(negative indexes count from the latest)")
+    sp.add_argument("--smoke", action="store_true",
+                    help="CI gate: all kernels classified, roofline "
+                         "agreement on the gated configs, bit-stable "
+                         "history digests, baseline check when present")
+    sp.add_argument("-v", "--verbose", action="store_true",
+                    help="also print ranked bottleneck attribution per kernel")
+    return ap
+
+
+def main(argv=None) -> int:
+    """``repro-bench`` entry point: parse once, run the chosen command."""
+    args = build_parser().parse_args(argv)
+    return args.run(args)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -20,8 +20,8 @@ from ..formats.conversions import cvse_from_csr_topology
 from ..kernels.base import elem_bytes
 from ..kernels.gemm import DenseGemmKernel
 from ..kernels.spmm_fpu import FpuSpmmKernel
-from ..perfmodel.profiler import profile_kernel
 from ..perfmodel.trace import trace_gemm, trace_octet_spmm
+from ..profiler import profile_kernel
 from .common import ExperimentResult
 
 __all__ = ["run", "REFERENCE_SHAPE"]

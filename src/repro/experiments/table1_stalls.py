@@ -12,7 +12,7 @@ import numpy as np
 
 from ..formats.blocked_ell import BlockedEllMatrix
 from ..kernels.cusparse import BlockedEllSpmmKernel
-from ..perfmodel.profiler import profile_kernel
+from ..profiler import profile_kernel
 from .common import ExperimentResult
 
 __all__ = ["run"]

@@ -17,7 +17,8 @@ from ..formats.conversions import blocked_ell_matching, cvse_from_csr_topology
 from ..kernels.cusparse import BlockedEllSpmmKernel
 from ..kernels.spmm_fpu import FpuSpmmKernel
 from ..kernels.spmm_octet import OctetSpmmKernel
-from ..perfmodel.profiler import guidelines_table, profile_kernel
+from ..profiler import profile_kernel
+from ..profiler.report import guidelines_table
 from .common import ExperimentResult
 
 __all__ = ["run"]

@@ -17,7 +17,8 @@ from ..formats.conversions import cvse_from_csr_topology
 from ..kernels.sddmm_fpu import FpuSddmmKernel
 from ..kernels.sddmm_octet import OctetSddmmKernel
 from ..kernels.sddmm_wmma import WmmaSddmmKernel
-from ..perfmodel.profiler import guidelines_table, profile_kernel
+from ..profiler import profile_kernel
+from ..profiler.report import guidelines_table
 from .common import ExperimentResult
 
 __all__ = ["run"]

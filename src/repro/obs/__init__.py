@@ -17,6 +17,8 @@ experiment under the tracer and emits timeline + metrics + a slowest
 spans table; see ``docs/OBSERVABILITY.md``.
 """
 
+from pathlib import Path
+
 from . import metrics, tracing
 from .tracing import (
     disable,
@@ -47,7 +49,20 @@ __all__ = [
     "drain",
     "ingest",
     "export_chrome_trace",
+    "export_trace",
     "validate_chrome_trace",
     "render_tree",
     "slowest_table",
 ]
+
+
+def export_trace(path, spans=None) -> None:
+    """Write the Chrome trace-event timeline to ``path`` and the metrics
+    snapshot to its sibling ``<stem>.metrics.json``, and say where —
+    the ``--trace-out`` output of ``cli obs`` and ``repro-experiments``."""
+    path = Path(path)
+    metrics_path = path.with_name(path.stem + ".metrics.json")
+    tracing.export_chrome_trace(path, spans)
+    metrics.write_json(metrics_path)
+    print(f"trace written to {path} (load in Perfetto / chrome://tracing); "
+          f"metrics in {metrics_path}")

@@ -7,7 +7,7 @@ counters, a roofline classification with ranked bottleneck attribution,
 an append-only run-history store and a CI perf-regression gate:
 
 * :mod:`repro.profiler.counters` — per-launch counter derivation
-  (:func:`derive_profile` -> :class:`KernelProfile`);
+  (:func:`profile_kernel` -> :class:`KernelProfile`);
 * :mod:`repro.profiler.roofline` — compute/memory/latency
   classification, two-ceiling roofline prediction and advice-ranked
   attribution;
@@ -17,7 +17,9 @@ an append-only run-history store and a CI perf-regression gate:
   ``results/profile_history.jsonl`` append/load/query;
 * :mod:`repro.profiler.baseline` — gated-counter regression checking
   against ``tools/profile_baseline.json``;
-* :mod:`repro.profiler.report` — tables, roofline summaries and diffs.
+* :mod:`repro.profiler.report` — the one report path: the paper's
+  guideline table, the shared plain-text table renderer, profile
+  tables, roofline summaries and diffs.
 
 ``python -m repro.cli profile`` is the front end.
 """
@@ -29,7 +31,7 @@ from .baseline import (
     load_baseline,
     write_baseline,
 )
-from .counters import KernelProfile, derive_profile
+from .counters import KernelProfile, profile_kernel
 from .history import (
     append_record,
     load_history,
@@ -49,7 +51,7 @@ from .report import diff_kernels, diff_records, profile_table, roofline_summary
 
 __all__ = [
     "KernelProfile",
-    "derive_profile",
+    "profile_kernel",
     "classify",
     "roofline_bound",
     "attribution",

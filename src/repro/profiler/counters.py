@@ -1,6 +1,6 @@
 """Counter derivation: one kernel launch -> an Nsight-analog profile.
 
-:func:`derive_profile` fuses the three evidence sources the simulator
+:func:`profile_kernel` fuses the three evidence sources the simulator
 already produces —
 
 * the kernel's authored :class:`~repro.perfmodel.events.KernelStats`
@@ -13,10 +13,10 @@ already produces —
 — into one :class:`KernelProfile` of derived counters: arithmetic
 intensity, achieved vs peak FLOP/s and DRAM/L2 bandwidth against the
 :mod:`repro.hardware` V100 ceilings, sector hit rates, HMMA issue
-efficiency, roofline classification, and ranked bottleneck
-attribution.  Counters a kernel genuinely lacks are ``None`` (rendered
-``n/a``), never a misleading zero — the same convention as
-:mod:`repro.perfmodel.profiler`.
+efficiency, roofline classification, ranked bottleneck attribution,
+and the stall/pipe fields of the paper's Tables 1-3 and Figure 5.
+Counters a kernel genuinely lacks are ``None`` (rendered ``n/a``),
+never a misleading zero.
 """
 
 from __future__ import annotations
@@ -37,7 +37,9 @@ from .roofline import (
     roofline_bound,
 )
 
-__all__ = ["KernelProfile", "derive_profile"]
+__all__ = ["KernelProfile", "profile_kernel"]
+
+_COMPUTE_PIPES = ("tensor", "fma32", "fma16", "alu")
 
 
 @dataclass
@@ -48,6 +50,11 @@ class KernelProfile:
     kernels without a registered sector stream; ``hmma_issue_efficiency``
     is ``None`` for kernels that issue no tensor-core instructions;
     ``sectors_per_request`` is ``None`` when no global requests exist.
+
+    The paper-table fields (stall percentages, L1 missed sectors, math
+    instructions, per-pipe utilisation) are stored unrounded and stay
+    out of :meth:`counters`, so the history/baseline payload is the
+    roofline profiler's alone.
     """
 
     name: str
@@ -77,13 +84,32 @@ class KernelProfile:
     hmma_issue_efficiency: Optional[float]
     occupancy_pct: float
     thread_blocks: int
+    no_instruction_pct: float
+    wait_pct: float
+    short_scoreboard_pct: float
+    l1_missed_sectors: float
+    math_instructions: float
+    pipe_utilization: Dict[str, float]  # pipe -> busy fraction of cycles
     bottlenecks: List[Dict[str, object]] = field(default_factory=list)
+
+    @property
+    def max_compute_pipe(self) -> str:
+        """Busiest compute pipe (Figure 5); ``compute_pipe`` is instead
+        the dominant pipe by instruction mix."""
+        compute = {k: v for k, v in self.pipe_utilization.items() if k in _COMPUTE_PIPES}
+        return max(compute, key=compute.get) if compute else "-"
+
+    @property
+    def max_compute_pipe_utilization(self) -> float:
+        """Busy fraction of :attr:`max_compute_pipe` (0.0 when none)."""
+        compute = [v for k, v in self.pipe_utilization.items() if k in _COMPUTE_PIPES]
+        return max(compute) if compute else 0.0
 
     def counters(self) -> Dict[str, object]:
         """Flat, JSON-ready counter record (history/baseline payload).
 
         Keys are sorted by construction; floats are already rounded by
-        :func:`derive_profile`, so the record is bit-stable across
+        :func:`profile_kernel`, so the record is bit-stable across
         identical runs.
         """
         return {
@@ -118,7 +144,7 @@ def _round(x: float, digits: int = 4) -> float:
     return round(float(x), digits)
 
 
-def derive_profile(
+def profile_kernel(
     stats: KernelStats,
     model: Optional[LatencyModel] = None,
     trace: Optional[TraceResult] = None,
@@ -148,12 +174,15 @@ def derive_profile(
     achieved_tflops = stats.flops / time_s / 1e12 if time_s > 0 else 0.0
 
     cycles = max(1e-9, est.cycles_per_sm)
+    pipe_util = {key.split(":", 1)[1]: min(1.0, b / cycles)
+                 for key, b in est.bounds.items()
+                 if key.startswith("pipe:") and not key.endswith("family")}
     hmma = stats.instructions.counts.get(InstrClass.HMMA, 0.0)
     hmma_eff: Optional[float] = None
     if hmma > 0:
         # fraction of the kernel's cycles the tensor pipe is actually
         # issuing HMMA steps: the Nsight "tensor pipe utilization" analog
-        hmma_eff = _round(min(1.0, est.bounds.get("pipe:tensor", 0.0) / cycles))
+        hmma_eff = _round(pipe_util.get("tensor", 0.0))
 
     l2_hit: Optional[float] = None
     if l2_bytes > 0:
@@ -189,5 +218,11 @@ def derive_profile(
         hmma_issue_efficiency=hmma_eff,
         occupancy_pct=_round(100.0 * est.occupancy.occupancy_fraction, 2),
         thread_blocks=int(stats.launch.num_ctas),
+        no_instruction_pct=100.0 * est.stall_fractions.get("no_instruction", 0.0),
+        wait_pct=100.0 * est.stall_fractions.get("wait", 0.0),
+        short_scoreboard_pct=100.0 * est.stall_fractions.get("short_scoreboard", 0.0),
+        l1_missed_sectors=gm.l1_missed_sectors,
+        math_instructions=stats.instructions.math_instructions,
+        pipe_utilization=pipe_util,
         bottlenecks=attribution(est, model, top=top),
     )

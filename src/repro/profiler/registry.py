@@ -45,7 +45,7 @@ from ..perfmodel import trace
 from ..perfmodel.events import KernelStats
 from ..perfmodel.latency import LatencyModel
 from ..perfmodel.trace import TraceResult
-from .counters import KernelProfile, derive_profile
+from .counters import KernelProfile, profile_kernel
 
 __all__ = ["ProfileConfig", "CONFIGS", "DEFAULT_CONFIG", "KERNEL_NAMES",
            "profile_all"]
@@ -231,7 +231,7 @@ def profile_all(config: ProfileConfig,
         for name in names:
             with obs_tracing.span(f"profiler.kernel.{name}"):
                 stats, model, tr = _CASES[name](config)
-                out[name] = derive_profile(stats, model, trace=tr,
+                out[name] = profile_kernel(stats, model, trace=tr,
                                            config=config.name, top=top)
                 out[name].name = name  # registry name, not the stats label
             obs_metrics.counter_add("profiler.kernels.profiled")

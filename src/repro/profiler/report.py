@@ -1,26 +1,62 @@
-"""Rendering: profile tables, roofline summaries, and diff views.
+"""Rendering: profile tables, the paper's guideline table, roofline
+summaries, and diff views.
 
-Everything renders through the plain-text table helper the experiment
-scripts already use (:func:`repro.perfmodel.profiler.format_table`),
-with ``None`` counters shown as ``n/a`` — the profiler never invents a
-zero for a counter a kernel does not have.
+This is the one report path: the experiment scripts, the CLI, the
+fault campaigns and the serving reports all render through
+:func:`format_table`, with ``None`` counters shown as ``n/a`` — the
+profiler never invents a zero for a counter a kernel does not have.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
-from ..perfmodel.profiler import fmt_counter, format_table
 from .counters import KernelProfile
 
 __all__ = [
+    "format_table",
+    "fmt_counter",
+    "guidelines_table",
     "profile_table",
     "bottleneck_lines",
     "roofline_summary",
     "diff_kernels",
     "diff_records",
-    "render_diff",
 ]
+
+
+def format_table(rows: Sequence[Dict[str, object]]) -> str:
+    """Plain-text table renderer used by the experiment scripts."""
+    if not rows:
+        return "(empty)"
+    cols = list(rows[0].keys())
+    widths = {c: max(len(str(c)), max(len(str(r.get(c, ""))) for r in rows)) for c in cols}
+    lines = [" | ".join(str(c).ljust(widths[c]) for c in cols)]
+    lines.append("-+-".join("-" * widths[c] for c in cols))
+    for r in rows:
+        lines.append(" | ".join(str(r.get(c, "")).ljust(widths[c]) for c in cols))
+    return "\n".join(lines)
+
+
+def fmt_counter(value: Optional[float], spec: str = ".2f") -> str:
+    """Render a profile counter; ``None`` (counter not applicable to
+    this kernel) becomes ``n/a`` rather than a misleading ``0.0``."""
+    return "n/a" if value is None else format(value, spec)
+
+
+def guidelines_table(profiles: Sequence[KernelProfile]) -> List[Dict[str, object]]:
+    """Rows of the Table 2/3 layout: the five guidelines per kernel."""
+    return [
+        {
+            "Kernel": p.name,
+            "No Instruction": f"{p.no_instruction_pct:.1f}%",
+            "# Thread Block": p.thread_blocks,
+            "Wait": f"{p.wait_pct:.1f}%",
+            "Short Scoreboard": f"{p.short_scoreboard_pct:.1f}%",
+            "Sectors/Req": fmt_counter(p.sectors_per_request),
+        }
+        for p in profiles
+    ]
 
 
 def profile_table(profiles: Dict[str, KernelProfile]) -> str:
@@ -132,10 +168,3 @@ def diff_records(a: Dict[str, object], b: Dict[str, object]) -> str:
             blocks.append(f"{name}\n{format_table(rows)}")
     return "\n\n".join(blocks) if blocks else "(runs identical)"
 
-
-def render_diff(profiles: Dict[str, KernelProfile],
-                a: str, b: str) -> Optional[str]:
-    """Diff two kernels out of one profile sweep (None = unknown name)."""
-    if a not in profiles or b not in profiles:
-        return None
-    return diff_kernels(profiles[a], profiles[b])

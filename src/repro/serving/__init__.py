@@ -26,8 +26,8 @@ Entry points: ``python -m repro.cli serve`` and
 ``benchmarks/bench_serving.py``; see ``docs/SERVING.md``.
 """
 
-from .report import (format_report, format_sweep, load_sweep, profile_summary,
-                     report, timeline_spans)
+from .report import (format_report, format_sweep, load_sweep, overload_gates,
+                     profile_summary, report, timeline_spans, worst_p99_slo_ratio)
 from .simulator import OUTCOMES, ServingResult, simulate
 from .workload import SCENARIOS, Scenario, Workload, generate_workload, get_scenario
 
@@ -42,8 +42,10 @@ __all__ = [
     "generate_workload",
     "get_scenario",
     "load_sweep",
+    "overload_gates",
     "profile_summary",
     "report",
     "simulate",
     "timeline_spans",
+    "worst_p99_slo_ratio",
 ]

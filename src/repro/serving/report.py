@@ -25,7 +25,7 @@ from typing import Any, Dict, List, Optional, Tuple
 import numpy as np
 
 from .. import envgates
-from ..perfmodel.profiler import format_table
+from ..profiler.report import format_table
 from .simulator import COMPLETED, OUTCOMES, ServingResult
 
 __all__ = [
@@ -36,6 +36,8 @@ __all__ = [
     "format_sweep",
     "timeline_spans",
     "profile_summary",
+    "worst_p99_slo_ratio",
+    "overload_gates",
 ]
 
 #: default cap on exported timeline events (override with the
@@ -89,6 +91,40 @@ def report(result: ServingResult) -> Dict[str, Any]:
         "final_level": result.level_trace[-1][1] if result.level_trace else 0,
         "ledger_digest": result.ledger_digest(),
     }
+
+
+def worst_p99_slo_ratio(doc: Dict[str, Any]) -> float:
+    """Worst admitted p99 over the tenants that completed anything, as
+    a multiple of that tenant's SLO."""
+    return max((row["p99_slo_ratio"] for row in doc["per_tenant"]
+                if row["completed"]), default=0.0)
+
+
+def overload_gates(doc: Dict[str, Any], rerun: ServingResult) -> List[str]:
+    """The robustness gates on a :func:`report` document, one line per
+    failed gate (empty = pass): the same-seed ``rerun`` reproduces the
+    ledger digest, no corrupted result is served, every tenant's
+    admitted p99 is within its SLO, and every request reached a typed
+    outcome.  ``cli serve --smoke`` and ``benchmarks/bench_serving.py``
+    both gate the ``overload`` scenario on exactly these."""
+    failures = []
+    if rerun.ledger_digest() != doc["ledger_digest"]:
+        failures.append("determinism: same-seed rerun produced a "
+                        "different ledger digest")
+    outcomes = doc["outcomes"]
+    if outcomes["corrupt-served"]:
+        failures.append(f"corruption containment: "
+                        f"{outcomes['corrupt-served']} corrupted "
+                        f"result(s) served to tenants")
+    worst = worst_p99_slo_ratio(doc)
+    if worst > 1.0:
+        failures.append(f"SLO: admitted p99 reached {worst:.2f}x the "
+                        f"tenant SLO (gate 1.0x)")
+    accounted = sum(outcomes.values())
+    if accounted != doc["requests"] or outcomes["pending"]:
+        failures.append(f"accounting: {accounted}/{doc['requests']} "
+                        f"requests typed, {outcomes['pending']} pending")
+    return failures
 
 
 def profile_summary(result: ServingResult) -> Dict[str, Any]:

@@ -58,6 +58,12 @@ class TestScheduler:
         assert model >= 1.0 and sim >= 1.0
 
 
+#: every ``repro-bench`` subcommand, and the arguments it cannot parse without
+SUBCOMMANDS = ("analyze", "sanitize", "faults", "obs", "memo", "merge",
+               "serve", "profile")
+SUBCOMMAND_ARGS = {"merge": ["shard0", "--out", "merged"]}
+
+
 class TestCli:
     def test_parser_defaults(self):
         args = build_parser().parse_args([])
@@ -97,6 +103,40 @@ class TestCli:
     def test_main_bad_file(self, capsys):
         rc = main(["--smtx", "/nonexistent/x.smtx"])
         assert rc == 2
+
+    @pytest.mark.parametrize("command", SUBCOMMANDS)
+    def test_subcommand_help_and_bad_option(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        assert f"repro-bench {command}" in capsys.readouterr().out
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--no-such-option"])
+        assert exc.value.code == 2
+
+    def test_unknown_subcommand_exits_2(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["no-such-command"])
+        assert exc.value.code == 2
+
+    def test_subcommand_defaults(self):
+        from repro.profiler import DEFAULT_CONFIG
+
+        ap = build_parser()
+        assert ap.parse_args(["faults"]).seed == 1234
+        serve = ap.parse_args(["serve"])
+        assert (serve.seed, serve.requests) == (0, 8000)
+        assert ap.parse_args(["profile"]).config == DEFAULT_CONFIG
+        assert ap.parse_args(["sanitize"]).suite == "default"
+        # subcommand defaults never leak into the bare bench command
+        assert ap.parse_args([]).seed == 0
+
+    def test_every_subcommand_has_a_handler(self):
+        ap = build_parser()
+        handlers = {ap.parse_args([c] + SUBCOMMAND_ARGS.get(c, [])).run
+                    for c in SUBCOMMANDS}
+        assert len(handlers) == len(SUBCOMMANDS)
+        assert ap.parse_args([]).run not in handlers
 
     def test_v1_skips_tcu_kernels(self):
         csr = generate_topology((64, 128), 0.8, np.random.default_rng(1))

@@ -1,5 +1,8 @@
 """Tests for the performance model: stalls, latency bounds, reuse, batching."""
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.hardware import ICacheModel, InstrClass, InstructionMix, KernelResources, LaunchConfig
@@ -9,10 +12,10 @@ from repro.perfmodel import (
     LatencyModel,
     compute_stalls,
     estimate_dram_bytes,
-    profile_kernel,
     scale_batch,
 )
 from repro.perfmodel.reuse import compulsory_ratio, coresident_reuse_bytes
+from repro.profiler import profile_kernel
 
 
 def simple_stats(
@@ -190,3 +193,37 @@ class TestProfiler:
         assert rep.sectors_per_request == pytest.approx(16.0)
         assert 0 <= rep.no_instruction_pct <= 100
         assert rep.max_compute_pipe in ("tensor", "fma32", "fma16", "alu")
+
+    def test_merged_profile_on_registered_kernels(self):
+        """One record per launch: the paper-table stall/pipe fields ride
+        along with the roofline counters, and stay out of ``counters()``
+        so history digests and the checked-in baseline keep their keys."""
+        from repro.profiler import CONFIGS, KERNEL_NAMES, profile_all
+
+        repo = Path(__file__).resolve().parents[1]
+        baseline = json.loads((repo / "tools" / "profile_baseline.json").read_text())
+        history = [json.loads(line) for line in
+                   (repo / "results" / "profile_history.jsonl").read_text().splitlines()
+                   if line.strip()]
+        recorded = {frozenset(k) for rec in history if rec["kind"] == "kernel-profile"
+                    for k in rec["kernels"].values()}
+        assert len(recorded) == 1
+        recorded_keys = set(next(iter(recorded)))
+
+        profiles = profile_all(CONFIGS["smoke"])
+        assert list(profiles) == list(KERNEL_NAMES)
+        for name, p in profiles.items():
+            for pct in (p.no_instruction_pct, p.wait_pct, p.short_scoreboard_pct):
+                assert 0.0 <= pct <= 100.0, name
+            assert p.l1_missed_sectors >= 0.0
+            assert p.math_instructions > 0.0
+            assert p.pipe_utilization
+            assert all(0.0 <= u <= 1.0 for u in p.pipe_utilization.values())
+            assert p.max_compute_pipe in ("tensor", "fma32", "fma16", "alu")
+            assert p.max_compute_pipe_utilization == max(
+                u for k, u in p.pipe_utilization.items()
+                if k in ("tensor", "fma32", "fma16", "alu"))
+            keys = set(p.counters())
+            assert keys == recorded_keys
+            for entry in baseline["kernels"].values():
+                assert set(entry) <= keys
